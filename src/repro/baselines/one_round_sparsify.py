@@ -22,7 +22,7 @@ import random
 from ..comm.bits import gamma_cost, uint_cost
 from ..comm.codecs import edge_list_codec
 from ..comm.transport import Channel, Transport, as_party, resolve_transport
-from ..rand import Stream, derived_random
+from ..rand import Stream, derived_random, permutations
 from ..coloring.greedy import greedy_vertex_coloring
 from ..coloring.list_coloring import solve_list_coloring
 from ..graphs.graph import Graph
@@ -56,13 +56,12 @@ def one_round_sparsify_proto(
     """One party's side of the one-round sparsification protocol."""
     n = own_graph.n
     ell = ack_list_size(n, num_colors)
-    # Per-vertex derived streams: a lazy permutation prefix is a uniform
-    # ordered ell-subset of the palette, read in O(ell) not O(m).
+    # Per-vertex derived streams: a permutation prefix is a uniform
+    # ordered ell-subset of the palette.  Small palettes materialize whole
+    # tables, so all n are built in one batch.
     list_base = pub.derive("ack-list")
-    lists = {}
-    for v in range(n):
-        perm = list_base.derive(v).permutation(num_colors)
-        lists[v] = {perm[i] + 1 for i in range(ell)}
+    perms = permutations([list_base.derive(v) for v in range(n)], num_colors)
+    lists = {v: {perm[i] + 1 for i in range(ell)} for v, perm in enumerate(perms)}
 
     conflicts = [
         (u, v) for u, v in own_graph.edges() if lists[u] & lists[v]

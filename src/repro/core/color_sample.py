@@ -21,7 +21,7 @@ from collections.abc import Set
 
 from ..comm.bits import uint_cost
 from ..comm.transport import Channel, as_party
-from ..rand import Stream
+from ..rand import Permutation, Stream
 from .slack import SAMPLING_CONSTANT, randomized_slack_proto
 
 __all__ = ["color_sample_party", "color_sample_proto"]
@@ -33,6 +33,7 @@ def color_sample_proto(
     own_used: Set[int],
     pub: Stream,
     sampling_constant: int | None = None,
+    perm: Permutation | None = None,
 ):
     """One party's side of Color-Sample.
 
@@ -41,7 +42,10 @@ def color_sample_proto(
     side of the neighborhood.  Returns the sampled available color
     (1-based).  Both parties must pass the *same* ``pub`` stream state.
     ``sampling_constant`` overrides Algorithm 3's ``C`` (default 150) for
-    ablation studies.
+    ablation studies.  ``perm`` is the public palette permutation when
+    the caller already drew it from ``pub`` (``pub.permutation(m)``, as
+    :func:`repro.rand.permutations` does for a whole fan-out); without
+    it the protocol draws it here.
     """
     if num_colors < 1:
         raise ValueError(f"palette must be non-empty, got {num_colors}")
@@ -55,9 +59,12 @@ def color_sample_proto(
     # Public uniform relabeling of the palette: position -> color.  Only
     # the |own_used| inverse lookups and one final forward lookup are
     # requested; above repro.rand's small-m threshold those are O(1)
-    # Feistel queries, below it the first access materializes a table
-    # (cheaper than cycle-walking at small palette sizes).
-    perm = pub.permutation(num_colors)
+    # Feistel queries, below it the whole table is materialized (cheaper
+    # than cycle-walking at small palette sizes).
+    if perm is None:
+        perm = pub.permutation(num_colors)
+    elif perm.m != num_colors:
+        raise ValueError(f"permutation of {perm.m} for a palette of {num_colors}")
     own_positions = set(perm.index_of_batch([c - 1 for c in own_used]))
 
     constant = SAMPLING_CONSTANT if sampling_constant is None else sampling_constant

@@ -36,7 +36,7 @@ from ..comm.codecs import (
     encode_flag_bitmap,
 )
 from ..comm.transport import Channel, as_party
-from ..rand import Stream
+from ..rand import Stream, permutations
 from ..coloring.greedy import greedy_d1lc_coloring
 from ..coloring.list_coloring import solve_list_coloring
 from ..graphs.graph import Graph
@@ -118,19 +118,22 @@ def d1lc_proto(
     palette = set(range(1, m + 1))
 
     # Step 1: palette sparsification via parallel Color-Sample.
+    # Every (v, j) slot's palette permutation is drawn up front, in one
+    # batch over the whole fan-out.
     ell = sample_list_size(n_active)
-    samplers = {}
+    slots = []
+    streams = []
     for v in active:
-        own_complement = palette - set(own_lists[v])
         v_base = pub.derive("d1lc", v)
         for j in range(ell):
-            # Spec tuple: ch.parallel calls color_sample_proto(sub, ...).
-            samplers[(v, j)] = (
-                color_sample_proto,
-                m,
-                own_complement,
-                v_base.derive(j),
-            )
+            slots.append((v, j))
+            streams.append(v_base.derive(j))
+    complements = {v: palette - set(own_lists[v]) for v in active}
+    # Spec tuples: ch.parallel calls color_sample_proto(sub, ...).
+    samplers = {
+        slot: (color_sample_proto, m, complements[slot[0]], stream, None, perm)
+        for slot, stream, perm in zip(slots, streams, permutations(streams, m))
+    }
     draws = yield from ch.parallel(samplers)
     sampled: dict[int, set[int]] = {v: set() for v in active}
     for (v, _j), color in draws.items():

@@ -22,7 +22,7 @@ import math
 
 from ..comm.bits import bitmap_cost
 from ..comm.transport import Channel, as_party
-from ..rand import Stream
+from ..rand import Stream, permutations
 from ..graphs.graph import Graph
 from .color_sample import color_sample_proto
 from .probes import confirmation_bits
@@ -82,16 +82,22 @@ def random_color_trial_proto(
             continue
 
         # Spec tuples, not one closure per vertex: ch.parallel invokes
-        # (proto, args...) as proto(sub, *args) directly.
+        # (proto, args...) as proto(sub, *args) directly.  Every instance's
+        # palette permutation is drawn up front, in one batch.
         iter_base = pub.derive("rct", iteration)
+        streams = [iter_base.derive(v) for v in awake]
         samplers = {
             v: (
                 color_sample_proto,
                 num_colors,
                 own_graph.neighbor_colors(v, colors),
-                iter_base.derive(v),
+                stream,
+                None,
+                perm,
             )
-            for v in awake
+            for v, stream, perm in zip(
+                awake, streams, permutations(streams, num_colors)
+            )
         }
         chosen: dict[int, int] = yield from ch.parallel(samplers)
 

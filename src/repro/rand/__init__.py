@@ -10,6 +10,8 @@ The randomness substrate under every protocol in the library:
 * Lazy permutations (:func:`make_permutation`) — ``perm[i]`` and
   ``perm.index_of(x)`` on demand via a Feistel network with cycle
   walking; no O(m) shuffle when only a few positions are read.
+  :func:`permutations` draws one per stream for a whole parallel
+  fan-out, building the small tables in one numpy batch.
 * Geometric-skip sparse sampling (:meth:`Stream.sample_indices`) and
   batch draw primitives (:meth:`Stream.coins`, :meth:`Stream.ints`).
 * :class:`LegacyTape` — the old ``random.Random`` tape behind the new
@@ -36,6 +38,7 @@ from .perm import (
     Permutation,
     SmallPermutation,
     make_permutation,
+    permutations,
 )
 from .sampling import geometric_indices
 
@@ -54,5 +57,6 @@ __all__ = [
     "kernels",
     "make_permutation",
     "mix64",
+    "permutations",
     "stable_label_hash",
 ]

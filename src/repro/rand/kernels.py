@@ -10,8 +10,9 @@ canonical whether or not numpy is importable.
 
 Gating: if numpy is missing — or ``REPRO_NO_NUMPY=1`` is set — ``_np``
 stays ``None`` and every dispatch site falls back to the pure loops.
-Dispatch is size-thresholded (:data:`MIN_BATCH`, :data:`FEISTEL_MIN_BATCH`)
-because tiny batches are dominated by array-construction overhead.
+Dispatch is size-thresholded (:data:`MIN_BATCH`, :data:`FEISTEL_MIN_BATCH`,
+:data:`PERM_MIN_BATCH`) because tiny batches are dominated by
+array-construction overhead.
 
 Bit-for-bit subtleties the implementations guard:
 
@@ -20,6 +21,9 @@ Bit-for-bit subtleties the implementations guard:
 * The Lemire ``ints`` map needs the high 64 bits of a 64×64 product;
   numpy has no 128-bit integers, so :func:`_mulhi` decomposes into 32-bit
   halves (every intermediate provably fits uint64).
+* The small-table Fisher–Yates index ``(x·(i+1)) >> 64`` has a multiplier
+  below ``2^32``, so two 32-bit partial products give it exactly
+  (:func:`small_permutation_tables`).
 * Word→bit unpacking goes through ``astype("<u8")`` so the byte order
   matches ``int.to_bytes(8, "little")`` on any host endianness.
 * ``np.log`` (SIMD) may differ from ``math.log`` (libm) by a few ulps.
@@ -37,6 +41,8 @@ __all__ = [
     "FAIR_MIN_BATCH",
     "FEISTEL_MIN_BATCH",
     "MIN_BATCH",
+    "PERM_CHUNK",
+    "PERM_MIN_BATCH",
     "available",
     "disabled",
 ]
@@ -58,6 +64,16 @@ FAIR_MIN_BATCH = 2048
 #: Feistel batch evaluation threshold: the cycle-walk loop costs a few
 #: fancy-indexing passes per call, so small query sets stay scalar.
 FEISTEL_MIN_BATCH = 256
+
+#: Small-permutation batch threshold.  One pure Fisher–Yates table costs
+#: ~15 µs at m=17 and ~70 µs at m=65; the kernel's fixed cost per call
+#: breaks even at 3-4 tables and is 2-3x cheaper at 8 (~0.7 / ~1.6 µs per
+#: table at 1024).
+PERM_MIN_BATCH = 8
+
+#: Tables built per kernel pass.  Bounds the K×(m-1) word and index
+#: matrices (~3 MB at m=96) however many tables the caller asks for.
+PERM_CHUNK = 1024
 
 
 def _load_numpy():
@@ -288,3 +304,57 @@ def feistel_batch(perm, xs, forward: bool) -> list[int]:
         pending = pending[keep]
         vals = vals[keep]
     return out.tolist()
+
+
+# ---------------------------------------------------------------------------
+# batched small permutations (mirrors SmallPermutation._build, m > 12)
+# ---------------------------------------------------------------------------
+
+
+def small_permutation_tables(keys: list[int], m: int) -> list[bytes]:
+    """The Fisher–Yates table of ``SmallPermutation(key, m)`` for every key.
+
+    Mirrors the ``m > 12`` branch of ``SmallPermutation._build``; the
+    caller guarantees ``13 <= m <= 255``, so every entry fits one byte and
+    each table comes back as an ``m``-byte ``bytes`` row (indexed like the
+    list the pure path builds).  Keys are processed :data:`PERM_CHUNK`
+    rows at a time.
+    """
+    np = _np
+    tables: list[bytes] = []
+    for start in range(0, len(keys), PERM_CHUNK):
+        tables.extend(_small_tables_chunk(np, keys[start:start + PERM_CHUNK], m))
+    return tables
+
+
+def _small_tables_chunk(np, keys: list[int], m: int) -> list[bytes]:
+    k = len(keys)
+    # Row i-1 holds swap step i for every key (column = key): the word
+    # mix(key + i·GOLDEN) and its index j = (word·(i+1)) >> 64 in [0, i].
+    steps = np.arange(1, m, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        words = (
+            np.asarray(keys, dtype=np.uint64)[None, :]
+            + (steps * np.uint64(_GOLDEN))[:, None]
+        )
+    _mix_inplace(np, words)
+    bound = (steps + np.uint64(1))[:, None]
+    c32 = np.uint64(32)
+    # b = i+1 < 2^32: hi·b + ((lo·b) >> 32) stays below 2^64, and shifting
+    # it right by 32 gives exactly (word·b) >> 64.
+    low = (words & np.uint64(0xFFFFFFFF)) * bound
+    js = ((words >> c32) * bound + (low >> c32)) >> c32
+    # Flat offsets into the transposed m×k table, so the table row for
+    # position i is contiguous and step i swaps it with a gathered row.
+    offsets = js.astype(np.intp) * k + np.arange(k, dtype=np.intp)[None, :]
+    table = np.empty((m, k), dtype=np.uint8)
+    table[:] = np.arange(m, dtype=np.uint8)[:, None]
+    flat = table.reshape(-1)
+    for i in range(m - 1, 0, -1):
+        at_j = offsets[i - 1]
+        row = table[i]
+        saved = row.copy()
+        row[:] = flat[at_j]
+        flat[at_j] = saved
+    data = np.ascontiguousarray(table.T).tobytes()
+    return [data[r * m:(r + 1) * m] for r in range(k)]

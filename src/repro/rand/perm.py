@@ -16,11 +16,15 @@ so :func:`make_permutation` returns a :class:`SmallPermutation` below
 table built only if ``index_of`` is ever called.  Both back-ends are pure
 functions of ``(key, m)``, so either side of a protocol computes the same
 permutation without communication.
+
+:func:`permutations` draws one permutation from each of many streams;
+for a large enough batch of small tables it builds them all in one numpy
+kernel instead of one Python Fisher–Yates loop each.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import kernels as _kernels
 
@@ -29,6 +33,7 @@ __all__ = [
     "Permutation",
     "SmallPermutation",
     "make_permutation",
+    "permutations",
     "SMALL_THRESHOLD",
 ]
 
@@ -178,7 +183,8 @@ class SmallPermutation(Permutation):
 
     Construction draws nothing; the forward table is built on the first
     query from the key's own SplitMix64 sequence, and the inverse table
-    only if ``index_of`` is ever needed.
+    only if ``index_of`` is ever needed.  :func:`permutations` may hand
+    in a forward table it built in a batch, as ``bytes`` (same entries).
     """
 
     __slots__ = ("key", "_forward", "_inverse")
@@ -186,7 +192,7 @@ class SmallPermutation(Permutation):
     def __init__(self, key: int, m: int) -> None:
         super().__init__(m)
         self.key = key & _MASK64
-        self._forward: list[int] | None = None
+        self._forward: list[int] | bytes | None = None
         self._inverse: list[int] | None = None
 
     def _build(self) -> list[int]:
@@ -248,3 +254,31 @@ def make_permutation(key: int, m: int) -> Permutation:
     if m <= SMALL_THRESHOLD:
         return SmallPermutation(key, m)
     return FeistelPermutation(key, m)
+
+
+def permutations(streams: Sequence, m: int) -> list[Permutation]:
+    """``[s.permutation(m) for s in streams]``, small tables built in one batch.
+
+    It is that list: each stream's own ``permutation`` call draws its one
+    key word, in order.  A :class:`~repro.rand.Stream` returns a lazy
+    :class:`SmallPermutation` at these sizes, which draws nothing more;
+    when every result is one, ``12 < m <= SMALL_THRESHOLD`` (the
+    Fisher–Yates range) and the batch has at least
+    :data:`~repro.rand.kernels.PERM_MIN_BATCH` entries, the numpy kernel
+    builds all their forward tables up front as ``bytes`` rows.  The
+    inverse is still built only if ``index_of`` is called.  Otherwise —
+    no numpy, the Lehmer or Feistel sizes, or any other permutation type,
+    such as ``LegacyTape``'s eager shuffle — the permutations stay as the
+    streams returned them.
+    """
+    perms = [s.permutation(m) for s in streams]
+    if (
+        _kernels._np is not None
+        and _LEHMER_MAX < m <= SMALL_THRESHOLD
+        and len(perms) >= _kernels.PERM_MIN_BATCH
+        and all(type(p) is SmallPermutation and p._forward is None for p in perms)
+    ):
+        tables = _kernels.small_permutation_tables([p.key for p in perms], m)
+        for perm, table in zip(perms, tables):
+            perm._forward = table
+    return perms

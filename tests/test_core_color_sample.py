@@ -7,9 +7,9 @@ from collections import Counter
 
 import pytest
 
-from repro.comm import run_protocol
+from repro.comm import as_party, run_protocol
 from repro.rand import Stream
-from repro.core import color_sample_party
+from repro.core import color_sample_party, color_sample_proto
 
 
 def sample_once(m, used_a, used_b, seed):
@@ -53,6 +53,31 @@ class TestCorrectness:
     def test_rejects_out_of_palette_used_colors(self):
         with pytest.raises(ValueError):
             next(color_sample_party(3, {4}, Stream.from_seed(0)))
+
+    @pytest.mark.parametrize("constant", [None, 2])
+    def test_prebuilt_permutation_matches_drawing_it(self, constant):
+        # The caller draws the permutation from pub (one word, as the batch
+        # helper does); the run, including later slack draws, is unchanged.
+        m, used_a, used_b = 40, {1, 2, 3}, {4, 5}
+        for seed in range(10):
+            want = run_protocol(
+                color_sample_party(m, used_a, Stream.from_seed(seed), constant),
+                color_sample_party(m, used_b, Stream.from_seed(seed), constant),
+            )
+            pub_a, pub_b = Stream.from_seed(seed), Stream.from_seed(seed)
+            got = run_protocol(
+                as_party(color_sample_proto, m, used_a, pub_a, constant,
+                         pub_a.permutation(m)),
+                as_party(color_sample_proto, m, used_b, pub_b, constant,
+                         pub_b.permutation(m)),
+            )
+            assert got[:2] == want[:2]
+            assert got[2].fingerprint() == want[2].fingerprint()
+
+    def test_rejects_permutation_of_another_size(self):
+        pub = Stream.from_seed(0)
+        with pytest.raises(ValueError):
+            next(as_party(color_sample_proto, 5, set(), pub, None, pub.permutation(6)))
 
 
 class TestUniformity:

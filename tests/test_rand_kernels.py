@@ -19,7 +19,14 @@ import pytest
 from repro.core.vertex_coloring import run_vertex_coloring
 from repro.engine import build_partition
 from repro.engine.scenarios import Scenario
-from repro.rand import Stream, kernels
+from repro.rand import (
+    SMALL_THRESHOLD,
+    LegacyTape,
+    SmallPermutation,
+    Stream,
+    kernels,
+    permutations,
+)
 
 requires_numpy = pytest.mark.skipif(
     not kernels.available(), reason="numpy unavailable (or REPRO_NO_NUMPY set)"
@@ -184,6 +191,94 @@ class TestCrossBackendEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# batched small permutations
+# ---------------------------------------------------------------------------
+
+
+def _perm_streams(k: int) -> list[Stream]:
+    base = Stream.from_seed(5, "perms")
+    return [base.derive(i) for i in range(k)]
+
+
+def _assert_same_perms(got, want, m):
+    assert len(got) == len(want)
+    assert [(type(p), p.key) for p in got] == [(type(p), p.key) for p in want]
+    # Every table and every inverse lookup; above the small-table range
+    # (scalar Feistel, equal keys already checked) only the ends of a batch.
+    pairs = list(zip(got, want))
+    if m > SMALL_THRESHOLD:
+        pairs = pairs[:1] + pairs[-1:]
+    for a, b in pairs:
+        assert a.materialize() == b.materialize()
+        assert [a.index_of(x) for x in range(m)] == [b.index_of(x) for x in range(m)]
+
+
+class TestBatchPermutations:
+    """``permutations(streams, m)`` equals the per-stream calls exactly."""
+
+    CHUNK = kernels.PERM_CHUNK
+
+    @pytest.mark.parametrize(
+        "k", [0, 1, kernels.PERM_MIN_BATCH, CHUNK - 1, CHUNK, CHUNK + 1]
+    )
+    @pytest.mark.parametrize("m", [0, 1, 12, 13, 96, 97])
+    @pytest.mark.parametrize("kernels_on", [True, False], ids=["kernels", "pure"])
+    def test_matches_per_stream_calls(self, k, m, kernels_on):
+        if kernels_on and not kernels.available():
+            pytest.skip("numpy unavailable (or REPRO_NO_NUMPY set)")
+        reference = _perm_streams(k)
+        with kernels.disabled():
+            want = [s.permutation(m) for s in reference]
+        batched = _perm_streams(k)
+        if kernels_on:
+            got = permutations(batched, m)
+        else:
+            with kernels.disabled():
+                got = permutations(batched, m)
+        _assert_same_perms(got, want, m)
+        assert [s.counter for s in batched] == [1] * k
+
+    @requires_numpy
+    @pytest.mark.parametrize("m", [13, 17, 64, 65, 96])
+    def test_kernel_tables_match_pure_build(self, m):
+        keys = [s.next64() for s in _perm_streams(300)]
+        keys += [0, 1, (1 << 64) - 1]
+        tables = kernels.small_permutation_tables(keys, m)
+        assert all(isinstance(t, bytes) and len(t) == m for t in tables)
+        assert [list(t) for t in tables] == [
+            SmallPermutation(key, m)._build() for key in keys
+        ]
+
+    @requires_numpy
+    def test_kernel_path_prebuilds_forward_only(self):
+        perms = permutations(_perm_streams(kernels.PERM_MIN_BATCH), 17)
+        assert all(isinstance(p._forward, bytes) for p in perms)
+        assert all(p._inverse is None for p in perms)
+
+    def test_repeated_stream_consumes_words_in_order(self):
+        stream, reference = Stream.from_seed(3), Stream.from_seed(3)
+        got = permutations([stream] * 20, 40)
+        want = [reference.permutation(40) for _ in range(20)]
+        _assert_same_perms(got, want, 40)
+        assert stream.counter == reference.counter == 20
+
+    def test_legacy_tape_batch_takes_per_stream_path(self):
+        m, k = 33, 50
+        got = permutations([LegacyTape(i) for i in range(k)], m)
+        want = [LegacyTape(i).permutation(m) for i in range(k)]
+        assert [type(p) for p in got] == [type(p) for p in want]
+        assert [p.materialize() for p in got] == [p.materialize() for p in want]
+
+    def test_mixed_stream_types_take_per_stream_path(self):
+        streams = _perm_streams(30) + [LegacyTape(1)]
+        got = permutations(streams, 40)
+        assert all(p._forward is None for p in got[:-1])  # lazy, never batched
+        assert [p.materialize() for p in got[:-1]] == [
+            s.permutation(40).materialize() for s in _perm_streams(30)
+        ]
+
+
+# ---------------------------------------------------------------------------
 # gating and the escape hatch
 # ---------------------------------------------------------------------------
 
@@ -206,6 +301,7 @@ class TestGating:
         assert kernels.MIN_BATCH >= 1
         assert kernels.FAIR_MIN_BATCH >= kernels.MIN_BATCH
         assert kernels.FEISTEL_MIN_BATCH >= 1
+        assert kernels.PERM_CHUNK >= kernels.PERM_MIN_BATCH >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +313,41 @@ class TestGating:
 class TestProtocolInvariance:
     """Flipping the kernel backend must not change any experiment record."""
 
-    def test_vertex_coloring_identical(self):
+    # d=8 palettes take the Lehmer path; d=16 (m=17) batches its tables in
+    # Random-Color-Trial, and with no trial iterations in D1LC.
+    @pytest.mark.parametrize("d,trials", [(8, None), (16, None), (16, 0)])
+    def test_vertex_coloring_identical(self, d, trials):
         scenario = Scenario(
             family="regular",
-            params=(("d", 8), ("n", 128)),
+            params=(("d", d), ("n", 128)),
             partition="random",
             protocol="vertex",
             seed=3,
         )
         part = build_partition(scenario)
-        live = run_vertex_coloring(part, seed=3)
+        live = run_vertex_coloring(part, seed=3, max_trial_iterations=trials)
         with kernels.disabled():
-            pure = run_vertex_coloring(part, seed=3)
+            pure = run_vertex_coloring(part, seed=3, max_trial_iterations=trials)
         assert live.colors == pure.colors
-        assert live.transcript.summary() == pure.transcript.summary()
+        assert live.transcript.fingerprint() == pure.transcript.fingerprint()
         assert live.leftover_size == pure.leftover_size
+
+    def test_one_round_sparsify_identical(self):
+        from repro.baselines import run_one_round_sparsify
+
+        scenario = Scenario(
+            family="regular",
+            params=(("d", 16), ("n", 128)),
+            partition="random",
+            protocol="vertex",
+            seed=3,
+        )
+        part = build_partition(scenario)
+        live = run_one_round_sparsify(part, seed=3)
+        with kernels.disabled():
+            pure = run_one_round_sparsify(part, seed=3)
+        assert live.colors == pure.colors
+        assert live.transcript.fingerprint() == pure.transcript.fingerprint()
 
     def test_scenario_record_identical(self):
         from repro.engine.scenarios import PROTOCOLS

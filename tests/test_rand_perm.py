@@ -18,10 +18,33 @@ from repro.rand import (
     FeistelPermutation,
     SmallPermutation,
     Stream,
+    kernels,
     make_permutation,
+    mix64,
 )
 
 NON_POWERS_OF_TWO = [1, 2, 3, 5, 6, 7, 9, 11, 12, 13, 37, 97, 100, 129, 1000, 4097]
+
+#: Keys for the small-table goldens: the edge words plus 60 mixed ones.
+SMALL_GOLDEN_KEYS = [0, 1, 0xDEADBEEF, (1 << 64) - 1] + [mix64(i) for i in range(60)]
+
+#: sha256 of the ``;``-joined tables ``SmallPermutation(key, m).materialize()``
+#: over :data:`SMALL_GOLDEN_KEYS`, pinned on the pure ``_build`` path.  m <= 12
+#: is the one-word Lehmer decode, 13..96 the per-swap Fisher-Yates draws.
+SMALL_GOLDENS = {
+    5: "f3fc214f8bf44fe088a2a9cd3ffc9cabd1090952c55b0a12f8fce2a609629c77",
+    12: "02f6715f26cd3c8876aec562485add20d3a8b52199659d9d4fb1b78757bfcd44",
+    13: "a81390682e8e1c455b1913a4dbdb1be8ef2869caf41ee9625b288aa292defe9b",
+    17: "f36087b3ec2769aab3351425e5c678b2292e5eb91e3bc46208785478269c8ee4",
+    64: "1496bae272d7560744aea528f135e25136e52e81bedc2a86d045681ab2e26d1d",
+    65: "9d711524ebdcaac918f4ad8c2e1a2184e2241f861d6637c8a700fb7508be15b8",
+    96: "2d1b8e49979f433ae7a020cc825045d66a7041a6a35ce140464dd14cede3f823",
+}
+
+
+def small_tables_digest(tables) -> str:
+    payload = ";".join(",".join(map(str, table)) for table in tables)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestFeistelBijectivity:
@@ -78,6 +101,17 @@ class TestSmallPermutation:
         assert perm._forward is None  # construction draws nothing
         perm[0]
         assert perm._forward is not None
+
+    @pytest.mark.parametrize("m", sorted(SMALL_GOLDENS))
+    def test_pinned_golden(self, m):
+        tables = [SmallPermutation(key, m).materialize() for key in SMALL_GOLDEN_KEYS]
+        assert small_tables_digest(tables) == SMALL_GOLDENS[m]
+
+    @pytest.mark.skipif(not kernels.available(), reason="numpy unavailable")
+    @pytest.mark.parametrize("m", [m for m in sorted(SMALL_GOLDENS) if m > 12])
+    def test_batch_kernel_hits_the_golden(self, m):
+        tables = kernels.small_permutation_tables(SMALL_GOLDEN_KEYS, m)
+        assert small_tables_digest(tables) == SMALL_GOLDENS[m]
 
     def test_lehmer_path_is_uniformish(self):
         # m=5 uses the one-word Lehmer decode; every first element should
