@@ -86,9 +86,13 @@ def _cached_partition(
 def build_partition(scenario: Scenario) -> EdgePartition:
     """The scenario's partitioned instance, on the scenario's backend.
 
-    Partitions are generated on the default backend and converted, so the
-    same scenario coordinate describes the same edge split on every
-    backend — the invariant the parity tests pin down.
+    The partitioner runs on the graph as the family builds it (set-backed
+    for most families, CSR for ``social``) and emits an owner mask, one
+    byte per edge in ``edges()`` order.  ``astype`` converts the graph to
+    the scenario's backend and carries the mask over verbatim, so the
+    same coordinate describes the same edge split on every backend — the
+    invariant the parity tests pin down.  The side graphs are built on
+    first use, on the scenario's backend only.
     """
     return _cached_partition(
         scenario.family,

@@ -225,7 +225,9 @@ def as_backend(graph: Graph, backend: str) -> Graph:
 
     Conversion preserves the vertex range and edge set exactly, so a
     workload generated once with the default backend can be replayed on any
-    other backend with identical protocol behavior.
+    other backend with identical protocol behavior.  CSR rows are copied
+    straight from ``iter_neighbors``, which every backend enumerates sorted
+    and duplicate-free.
     """
     try:
         cls = GRAPH_BACKENDS[backend]
@@ -235,4 +237,6 @@ def as_backend(graph: Graph, backend: str) -> Graph:
         ) from None
     if type(graph) is cls:
         return graph
+    if cls is CSRGraph:
+        return CSRGraph.from_rows(graph.n, map(graph.iter_neighbors, range(graph.n)))
     return cls(graph.n, graph.edges())

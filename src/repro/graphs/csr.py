@@ -31,9 +31,11 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import compress
+from operator import sub
 
 from ..rand import kernels as _kernels
-from .graph import Edge, Graph
+from .graph import Edge, Graph, invert_mask
 
 __all__ = ["CSRGraph", "GraphBuilder", "from_edge_stream"]
 
@@ -44,6 +46,42 @@ _NUMPY_BUILD_MIN = 1024
 def _zeros(count: int) -> array:
     """A zero-filled ``array('q')`` of ``count`` entries."""
     return array("q", bytes(8 * count))
+
+
+def _from_numpy(values) -> array:
+    """An ``array('q')`` holding a numpy int64 vector's values."""
+    out = array("q")
+    out.frombytes(values.tobytes())
+    return out
+
+
+def _fill_rows(n: int, us: array, vs: array) -> tuple[array, array]:
+    """CSR ``(indptr, indices)`` by a counting sort, rows in arrival order.
+
+    Both directions of every pair are inserted.  When the pairs are
+    distinct and arrive in sorted canonical order, every row comes out
+    sorted already: row ``x`` first receives its lower neighbors in
+    increasing order, then (while ``x`` is the head) its higher ones.
+    """
+    counts = _zeros(n)
+    for u in us:
+        counts[u] += 1
+    for v in vs:
+        counts[v] += 1
+    indptr = _zeros(n + 1)
+    total = 0
+    for i in range(n):
+        indptr[i] = total
+        total += counts[i]
+    indptr[n] = total
+    cursor = array("q", indptr[:n])
+    indices = _zeros(total)
+    for u, v in zip(us, vs):
+        indices[cursor[u]] = v
+        cursor[u] += 1
+        indices[cursor[v]] = u
+        cursor[v] += 1
+    return indptr, indices
 
 
 def _build_arrays(n: int, us: array, vs: array) -> tuple[array, array]:
@@ -69,33 +107,12 @@ def _build_arrays(n: int, us: array, vs: array) -> tuple[array, array]:
         counts = np.bincount(src, minlength=n)
         indptr_np = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr_np[1:])
-        indptr = array("q")
-        indptr.frombytes(indptr_np.tobytes())
-        indices = array("q")
-        indices.frombytes(dst.tobytes())
-        return indptr, indices
+        return _from_numpy(indptr_np), _from_numpy(dst)
 
     # Pure path: counting sort into place, then per-row sort + dedup with
     # an in-place forward compaction (the write cursor never passes a
     # row's unread start, so no second buffer is needed).
-    counts = _zeros(n)
-    for u in us:
-        counts[u] += 1
-    for v in vs:
-        counts[v] += 1
-    indptr = _zeros(n + 1)
-    total = 0
-    for i in range(n):
-        indptr[i] = total
-        total += counts[i]
-    indptr[n] = total
-    cursor = array("q", indptr[:n])
-    indices = _zeros(total)
-    for u, v in zip(us, vs):
-        indices[cursor[u]] = v
-        cursor[u] += 1
-        indices[cursor[v]] = u
-        cursor[v] += 1
+    indptr, indices = _fill_rows(n, us, vs)
     write = 0
     for i in range(n):
         start, end = indptr[i], indptr[i + 1]
@@ -107,6 +124,19 @@ def _build_arrays(n: int, us: array, vs: array) -> tuple[array, array]:
     indptr[n] = write
     del indices[write:]
     return indptr, indices
+
+
+def _assemble(n: int, indptr: array, indices: array) -> "CSRGraph":
+    """A :class:`CSRGraph` over compact arrays (sorted rows, no slack)."""
+    graph = CSRGraph.__new__(CSRGraph)
+    graph.n = n
+    graph._indptr = indptr
+    graph._indices = indices
+    graph._deg = array("q", map(sub, indptr[1:], indptr[:-1]))
+    graph._m = len(indices) // 2
+    graph._pending = {}
+    graph._maxdeg = None
+    return graph
 
 
 class GraphBuilder:
@@ -145,16 +175,7 @@ class GraphBuilder:
 
     def to_graph(self) -> "CSRGraph":
         """Build the graph; the builder may be reused afterwards."""
-        graph = CSRGraph.__new__(CSRGraph)
-        graph.n = self.n
-        graph._indptr, graph._indices = _build_arrays(self.n, self._us, self._vs)
-        graph._deg = array(
-            "q", (graph._indptr[i + 1] - graph._indptr[i] for i in range(self.n))
-        )
-        graph._m = len(graph._indices) // 2
-        graph._pending = {}
-        graph._maxdeg = None
-        return graph
+        return _assemble(self.n, *_build_arrays(self.n, self._us, self._vs))
 
 
 def from_edge_stream(n: int, edges: Iterable[Edge]) -> "CSRGraph":
@@ -170,6 +191,22 @@ class CSRGraph(Graph):
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         built = from_edge_stream(n, edges)
         self.__dict__.update(built.__dict__)
+
+    @classmethod
+    def from_rows(cls, n: int, rows: Iterable[Iterable[int]]) -> "CSRGraph":
+        """Build from ``n`` neighbor rows, each sorted and duplicate-free.
+
+        The rows are copied as they come — no per-edge staging, no sort —
+        which is how another backend's adjacency (whose ``iter_neighbors``
+        already enumerates in increasing order) converts to CSR.  The
+        rows must describe a symmetric simple graph.
+        """
+        indptr = _zeros(n + 1)
+        indices = array("q")
+        for v, row in enumerate(rows):
+            indices.extend(row)
+            indptr[v + 1] = len(indices)
+        return _assemble(n, indptr, indices)
 
     # -- the mutation overlay ---------------------------------------------
     #
@@ -333,6 +370,49 @@ class CSRGraph(Graph):
         """A CSR graph on the same vertex set containing only ``edges``."""
         return from_edge_stream(self.n, edges)
 
+    def split_by_mask(self, mask: bytes) -> tuple["CSRGraph", "CSRGraph"]:
+        """The subgraphs of the edges whose mask byte is 1 and 0.
+
+        Rows are filtered, never re-sorted, so both sides are
+        byte-identical to :func:`from_edge_stream` over their edges.  With
+        numpy one vectorised pass tags every directed entry with its
+        edge's byte: entries ``(u, w)`` with ``w > u`` take the mask in
+        storage order (that *is* ``edges()`` order), and the lower
+        entries, stably re-sorted by ``w``, enumerate the same edges in the
+        same order.  The pure path streams the edges into a counting sort.
+        """
+        # Removals leave slack inside rows; the vectorised pass needs none.
+        if self._pending or len(self._indices) != 2 * self._m:
+            self._flush()
+        np = _kernels._np
+        n = self.n
+        if np is None or len(self._indices) < _NUMPY_BUILD_MIN:
+            sides = []
+            for side in (mask, invert_mask(mask)):
+                us, vs = array("q"), array("q")
+                for u, w in compress(self._iter_edges(), side):
+                    us.append(u)
+                    vs.append(w)
+                sides.append(_assemble(n, *_fill_rows(n, us, vs)))
+            return sides[0], sides[1]
+        indptr = np.frombuffer(self._indptr, dtype=np.int64)
+        dst = np.frombuffer(self._indices, dtype=np.int64)
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        bits = np.frombuffer(mask, dtype=np.uint8).astype(bool)
+        upper = dst > src
+        ones = np.empty(dst.size, dtype=bool)
+        ones[upper] = bits
+        lower = np.flatnonzero(~upper)
+        ones[lower[np.argsort(dst[lower], kind="stable")]] = bits
+
+        def side(keep):
+            # Kept entries before each row start are that side's offsets.
+            running = np.zeros(dst.size + 1, dtype=np.int64)
+            np.cumsum(keep, out=running[1:])
+            return _assemble(n, _from_numpy(running[indptr]), _from_numpy(dst[keep]))
+
+        return side(ones), side(~ones)
+
     def is_independent_set(self, vertices: Iterable[int]) -> bool:
         """True if no two of ``vertices`` are adjacent (row scans)."""
         vset = set(vertices)
@@ -409,8 +489,6 @@ class CSRGraph(Graph):
         self._compact()
         vset = set(vertices)
         indptr, indices, deg = self._indptr, self._indices, self._deg
-        sub = CSRGraph.__new__(CSRGraph)
-        sub.n = self.n
         new_indptr = _zeros(self.n + 1)
         new_indices = array("q")
         write = 0
@@ -424,15 +502,7 @@ class CSRGraph(Graph):
                         new_indices.append(u)
                         write += 1
         new_indptr[self.n] = write
-        sub._indptr = new_indptr
-        sub._indices = new_indices
-        sub._deg = array(
-            "q", (new_indptr[i + 1] - new_indptr[i] for i in range(self.n))
-        )
-        sub._m = write // 2
-        sub._pending = {}
-        sub._maxdeg = None
-        return sub
+        return _assemble(self.n, new_indptr, new_indices)
 
     def __repr__(self) -> str:
         return f"CSRGraph(n={self.n}, m={self._m}, max_degree={self.max_degree()})"

@@ -21,10 +21,18 @@ match bit-for-bit across backends.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import compress
 
-__all__ = ["Edge", "Graph", "canonical_edge"]
+__all__ = ["Edge", "Graph", "canonical_edge", "invert_mask"]
 
 Edge = tuple[int, int]
+
+_INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def invert_mask(mask: bytes) -> bytes:
+    """Swap the 0 and 1 bytes of an edge mask (see :meth:`Graph.split_by_mask`)."""
+    return mask.translate(_INVERT)
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -128,6 +136,18 @@ class Graph:
     def subgraph_edges(self, edges: Iterable[Edge]) -> "Graph":
         """A graph on the same vertex set containing only ``edges``."""
         return Graph(self.n, (canonical_edge(u, v) for u, v in edges))
+
+    def split_by_mask(self, mask: bytes) -> tuple["Graph", "Graph"]:
+        """The subgraphs of the edges whose mask byte is 1 and 0.
+
+        ``mask`` holds one 0/1 byte per edge, in :meth:`edges` order — the
+        order being part of the backend contract, one mask describes the
+        same split on every backend.
+        """
+        return (
+            self.subgraph_edges(compress(self.edges(), mask)),
+            self.subgraph_edges(compress(self.edges(), invert_mask(mask))),
+        )
 
     def union(self, other: "Graph") -> "Graph":
         """Edge union of two graphs on the same vertex set."""

@@ -11,10 +11,12 @@ splits engineered to maximize cross-party coordination.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from functools import cached_property
+from itertools import compress
 
 from ..rand import RandomSource, as_random
 from .bitset import as_backend
-from .graph import Edge, Graph, canonical_edge
+from .graph import Edge, Graph, invert_mask
 
 __all__ = [
     "EdgePartition",
@@ -35,19 +37,32 @@ class EdgePartition:
     Exposes, for each party, exactly the information the model grants them:
     their own edge set (and derived adjacency/degrees) plus the public
     parameters ``n`` and ``Δ`` of the *whole* graph.
+
+    The split itself is :attr:`owner_mask`: one byte per edge in
+    ``graph.edges()`` order, 1 for Alice and 0 for Bob.  Since every
+    backend enumerates edges in that same order, the mask survives
+    :meth:`astype` verbatim.  Everything else — the side graphs and the
+    edge sets — is derived from it on first access and cached.
     """
 
     def __init__(self, graph: Graph, alice_edges: Iterable[Edge]) -> None:
-        self.graph = graph
-        alice = {canonical_edge(u, v) for u, v in alice_edges}
-        all_edges = set(graph.edges())
-        if not alice <= all_edges:
-            extra = sorted(alice - all_edges)[:3]
+        alice = {(u, v) if u < v else (v, u) for u, v in alice_edges}
+        mask = bytearray(map(alice.__contains__, graph.edges()))
+        if mask.count(1) != len(alice):
+            extra = sorted(alice - set(graph.edges()))[:3]
             raise ValueError(f"alice edges not in graph, e.g. {extra}")
-        self.alice_edges = frozenset(alice)
-        self.bob_edges = frozenset(all_edges - alice)
-        self.alice_graph = graph.subgraph_edges(self.alice_edges)
-        self.bob_graph = graph.subgraph_edges(self.bob_edges)
+        self.graph = graph
+        self.owner_mask = mask
+
+    @classmethod
+    def from_mask(cls, graph: Graph, mask: bytes) -> "EdgePartition":
+        """The partition giving Alice the edges whose mask byte is 1."""
+        if len(mask) != graph.m or mask.count(0) + mask.count(1) != len(mask):
+            raise ValueError(f"need one 0/1 byte per edge ({graph.m}), got {len(mask)}")
+        part = cls.__new__(cls)
+        part.graph = graph
+        part.owner_mask = mask
+        return part
 
     @property
     def n(self) -> int:
@@ -58,6 +73,30 @@ class EdgePartition:
     def max_degree(self) -> int:
         """Δ of the whole graph (public knowledge)."""
         return self.graph.max_degree()
+
+    @cached_property
+    def _sides(self) -> tuple[Graph, Graph]:
+        return self.graph.split_by_mask(self.owner_mask)
+
+    @property
+    def alice_graph(self) -> Graph:
+        """Alice's local graph (built with Bob's on first access)."""
+        return self._sides[0]
+
+    @property
+    def bob_graph(self) -> Graph:
+        """Bob's local graph (built with Alice's on first access)."""
+        return self._sides[1]
+
+    @cached_property
+    def alice_edges(self) -> frozenset[Edge]:
+        """Alice's edges in canonical form."""
+        return frozenset(compress(self.graph.edges(), self.owner_mask))
+
+    @cached_property
+    def bob_edges(self) -> frozenset[Edge]:
+        """Bob's edges in canonical form."""
+        return frozenset(compress(self.graph.edges(), invert_mask(self.owner_mask)))
 
     def side_graph(self, party: str) -> Graph:
         """The local graph of ``"alice"`` or ``"bob"``."""
@@ -70,18 +109,18 @@ class EdgePartition:
     def astype(self, backend: str) -> "EdgePartition":
         """This partition with its graphs converted to ``backend``.
 
-        The edge split is carried over verbatim, so the converted partition
+        The owner mask is carried over verbatim, so the converted partition
         describes the *same* protocol instance — only the adjacency
         representation changes.  Returns ``self`` when already there.
         """
         converted = as_backend(self.graph, backend)
         if converted is self.graph:
             return self
-        return EdgePartition(converted, self.alice_edges)
+        return EdgePartition.from_mask(converted, self.owner_mask)
 
     def owner(self, u: int, v: int) -> str:
-        """Which party holds edge ``{u, v}``."""
-        edge = canonical_edge(u, v)
+        """Which party holds edge ``{u, v}``; ``KeyError`` for a non-edge."""
+        edge = (u, v) if u < v else (v, u)
         if edge in self.alice_edges:
             return "alice"
         if edge in self.bob_edges:
@@ -89,39 +128,45 @@ class EdgePartition:
         raise KeyError(f"edge {edge} not in graph")
 
     def __repr__(self) -> str:
+        alice = self.owner_mask.count(1)
         return (
-            f"EdgePartition(n={self.n}, alice={len(self.alice_edges)}, "
-            f"bob={len(self.bob_edges)})"
+            f"EdgePartition(n={self.n}, alice={alice}, "
+            f"bob={len(self.owner_mask) - alice})"
         )
 
 
 def partition_random(graph: Graph, rng: RandomSource, p_alice: float = 0.5) -> EdgePartition:
-    """Assign each edge to Alice independently with probability ``p_alice``."""
-    rng = as_random(rng)
-    alice = [e for e in graph.edges() if rng.random() < p_alice]
-    return EdgePartition(graph, alice)
+    """Assign each edge to Alice independently with probability ``p_alice``.
+
+    One draw per edge, in ``edges()`` order.
+    """
+    draw = as_random(rng).random
+    mask = bytearray([draw() < p_alice for _ in range(graph.m)])
+    return EdgePartition.from_mask(graph, mask)
 
 
 def partition_all_alice(graph: Graph, rng: RandomSource | None = None) -> EdgePartition:
     """Alice holds every edge (the FM25 lower-bound regime)."""
-    return EdgePartition(graph, graph.edges())
+    return EdgePartition.from_mask(graph, bytearray(b"\x01") * graph.m)
 
 
 def partition_all_bob(graph: Graph, rng: RandomSource | None = None) -> EdgePartition:
     """Bob holds every edge."""
-    return EdgePartition(graph, ())
+    return EdgePartition.from_mask(graph, bytearray(graph.m))
 
 
 def partition_alternating(graph: Graph, rng: RandomSource | None = None) -> EdgePartition:
     """Edges alternate Alice/Bob in canonical order (deterministic 50/50)."""
-    alice = [e for idx, e in enumerate(graph.edge_list()) if idx % 2 == 0]
-    return EdgePartition(graph, alice)
+    mask = (bytearray(b"\x01\x00") * ((graph.m + 1) // 2))[: graph.m]
+    return EdgePartition.from_mask(graph, mask)
 
 
 def partition_by_hash(graph: Graph, rng: RandomSource | None = None) -> EdgePartition:
     """Deterministic pseudo-random split keyed on the edge identity."""
-    alice = [(u, v) for u, v in graph.edges() if (u * 0x9E3779B1 ^ v * 0x85EBCA77) & 1]
-    return EdgePartition(graph, alice)
+    mask = bytearray(
+        (u * 0x9E3779B1 ^ v * 0x85EBCA77) & 1 for u, v in graph.edges()
+    )
+    return EdgePartition.from_mask(graph, mask)
 
 
 def partition_degree_split(graph: Graph, rng: RandomSource | None = None) -> EdgePartition:
@@ -130,18 +175,18 @@ def partition_degree_split(graph: Graph, rng: RandomSource | None = None) -> Edg
     Maximizes the number of vertices whose neighborhood straddles both
     parties — the regime in which Color-Sample genuinely needs interaction.
     """
-    alice: list[Edge] = []
+    mask = bytearray(graph.m)
     alice_deg = [0] * graph.n
     bob_deg = [0] * graph.n
-    for u, v in graph.edge_list():
+    for idx, (u, v) in enumerate(graph.edges()):
         if alice_deg[u] + alice_deg[v] <= bob_deg[u] + bob_deg[v]:
-            alice.append((u, v))
+            mask[idx] = 1
             alice_deg[u] += 1
             alice_deg[v] += 1
         else:
             bob_deg[u] += 1
             bob_deg[v] += 1
-    return EdgePartition(graph, alice)
+    return EdgePartition.from_mask(graph, mask)
 
 
 def partition_crossing(graph: Graph, rng: RandomSource) -> EdgePartition:
@@ -153,8 +198,8 @@ def partition_crossing(graph: Graph, rng: RandomSource) -> EdgePartition:
     """
     rng = as_random(rng)
     side = [rng.random() < 0.5 for _ in range(graph.n)]
-    alice = [(u, v) for u, v in graph.edges() if side[u] != side[v]]
-    return EdgePartition(graph, alice)
+    mask = bytearray(side[u] != side[v] for u, v in graph.edges())
+    return EdgePartition.from_mask(graph, mask)
 
 
 PARTITIONERS: dict[str, Callable[[Graph, RandomSource], EdgePartition]] = {

@@ -90,8 +90,20 @@ def assert_proper_edge_coloring(
     colors: Mapping[Edge, int],
     num_colors: int | None = None,
 ) -> None:
-    """Raise ``AssertionError`` with a diagnostic if the edge coloring is improper."""
-    normalized = {canonical_edge(u, v): c for (u, v), c in colors.items()}
+    """Raise ``AssertionError`` with a diagnostic if the edge coloring is improper.
+
+    Besides uncolored edges, palette violations and clashes at a vertex,
+    this rejects keys that name no edge of ``graph`` and one edge keyed
+    twice — as ``(u, v)`` and ``(v, u)`` — with different colors.
+    """
+    normalized = {(u, v) if u < v else (v, u): c for (u, v), c in colors.items()}
+    if len(normalized) != len(colors):
+        for (u, v), color in colors.items():
+            other = colors.get((v, u), color)
+            if u < v and other != color:
+                raise AssertionError(
+                    f"edge {(u, v)} is keyed twice with colors {color} and {other}"
+                )
     for edge in graph.edges():
         if edge not in normalized:
             raise AssertionError(f"edge {edge} is uncolored")
@@ -100,6 +112,10 @@ def assert_proper_edge_coloring(
             raise AssertionError(
                 f"edge {edge} has color {color} outside palette [1..{num_colors}]"
             )
+    if len(normalized) != graph.m:
+        # Every edge is colored, so the surplus keys are non-edges.
+        extra = sorted(set(normalized) - set(graph.edges()))
+        raise AssertionError(f"colors keyed on non-edges: {extra[:5]}")
     for v in graph.vertices():
         seen: dict[int, Edge] = {}
         for u in graph.neighbors(v):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from contextlib import nullcontext
 
 import pytest
 
 from repro.graphs import (
     PARTITIONERS,
     EdgePartition,
+    as_backend,
     complete_graph,
+    from_edge_stream,
     gnp_random_graph,
     partition_all_alice,
     partition_all_bob,
@@ -17,7 +21,49 @@ from repro.graphs import (
     partition_crossing,
     partition_degree_split,
     partition_random,
+    path_graph,
+    random_regular_graph,
 )
+from repro.rand import kernels
+
+BACKENDS = ("set", "bitset", "csr")
+
+#: sha256 prefixes of ``repr(sorted(alice_edges))`` for every partitioner on
+#: ``random_regular_graph(200, 8, Random(7))`` with ``Random(11)``, as the
+#: eager edge-set construction computed them on every backend.  m = 800,
+#: so the CSR split takes its numpy path whenever kernels are on.
+EAGER_ALICE_DIGESTS = {
+    "random": "90681ea4938626d5",
+    "all_alice": "bf72fc7daa2c6fc8",
+    "all_bob": "4f53cda18c2baa0c",
+    "alternating": "f06a9ea3d22686ca",
+    "hash": "e13592ee5a619568",
+    "degree_split": "d4f385f2d0483243",
+    "crossing": "bec1f25605e62f23",
+}
+
+
+@pytest.fixture(scope="module")
+def regular():
+    return random_regular_graph(200, 8, random.Random(7))
+
+
+@pytest.fixture(params=["kernels", "pure"])
+def kernel_mode(request):
+    with kernels.disabled() if request.param == "pure" else nullcontext():
+        yield request.param
+
+
+def _digest(edges) -> str:
+    return hashlib.sha256(repr(sorted(edges)).encode()).hexdigest()[:16]
+
+
+def _assert_csr_identical(graph, edges):
+    reference = from_edge_stream(graph.n, sorted(edges))
+    assert graph._indptr.tobytes() == reference._indptr.tobytes()
+    assert graph._indices.tobytes() == reference._indices.tobytes()
+    assert list(graph._deg) == list(reference._deg)
+    assert graph.m == reference.m
 
 
 class TestEdgePartitionInvariants:
@@ -55,6 +101,8 @@ class TestEdgePartitionInvariants:
         part = partition_all_alice(g)
         with pytest.raises(KeyError):
             part.owner(2, 3)
+        with pytest.raises(KeyError):
+            part.owner(2, 2)
 
     def test_rejects_foreign_edges(self):
         g = complete_graph(4)
@@ -118,3 +166,83 @@ class TestPartitioners:
         for name, factory in PARTITIONERS.items():
             part = factory(g, rng)
             assert part.alice_edges | part.bob_edges == set(g.edges()), name
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(PARTITIONERS))
+class TestMaskParity:
+    """The owner mask reproduces the eager edge-set construction."""
+
+    def test_edge_sets_match_eager_construction(self, regular, name, backend,
+                                                kernel_mode):
+        graph = as_backend(regular, backend)
+        part = PARTITIONERS[name](graph, random.Random(11))
+        assert _digest(part.alice_edges) == EAGER_ALICE_DIGESTS[name]
+        assert part.bob_edges == frozenset(regular.edges()) - part.alice_edges
+        assert len(part.owner_mask) == regular.m
+        assert set(part.alice_graph.edges()) == part.alice_edges
+        assert set(part.bob_graph.edges()) == part.bob_edges
+
+    def test_csr_sides_match_edge_stream(self, regular, name, backend, kernel_mode):
+        part = PARTITIONERS[name](as_backend(regular, backend), random.Random(11))
+        csr = part.astype("csr")
+        _assert_csr_identical(csr.alice_graph, part.alice_edges)
+        _assert_csr_identical(csr.bob_graph, part.bob_edges)
+
+    def test_astype_chain_keeps_split(self, regular, name, backend, kernel_mode):
+        part = PARTITIONERS[name](as_backend(regular, backend), random.Random(11))
+        chain = [part]
+        for target in ("set", "csr", "bitset", "csr"):
+            chain.append(chain[-1].astype(target))
+        for converted in chain[1:]:
+            assert converted.owner_mask == part.owner_mask
+            assert converted.alice_edges == part.alice_edges
+            assert converted.bob_edges == part.bob_edges
+            assert set(converted.alice_graph.edges()) == part.alice_edges
+            assert set(converted.bob_graph.edges()) == part.bob_edges
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestConstructor:
+    def test_dedups_reversed_and_duplicate_tuples(self, backend):
+        g = as_backend(complete_graph(4), backend)
+        part = EdgePartition(g, [(1, 0), (0, 1), (0, 1), (3, 2)])
+        assert part.alice_edges == {(0, 1), (2, 3)}
+        assert part.bob_edges == {(0, 2), (0, 3), (1, 2), (1, 3)}
+        assert part.owner(1, 0) == "alice" and part.owner(3, 1) == "bob"
+
+    @pytest.mark.parametrize("foreign", [(0, 3), (3, 0), (2, 2)])
+    def test_rejects_foreign_edges(self, backend, foreign):
+        g = as_backend(path_graph(4), backend)
+        with pytest.raises(ValueError, match="not in graph"):
+            EdgePartition(g, [(0, 1), foreign])
+
+    def test_from_mask_rejects_malformed_masks(self, backend):
+        g = as_backend(complete_graph(4), backend)
+        with pytest.raises(ValueError):
+            EdgePartition.from_mask(g, bytearray(5))
+        with pytest.raises(ValueError):
+            EdgePartition.from_mask(g, bytearray([0, 1, 2, 0, 1, 0]))
+
+
+class TestLazySides:
+    def test_conversion_builds_no_side_graph(self, regular):
+        part = partition_random(regular, random.Random(3))
+        csr = part.astype("csr")
+        assert "_sides" not in part.__dict__ and "_sides" not in csr.__dict__
+        assert csr.side_graph("alice") is csr.alice_graph
+        assert csr.side_graph("bob") is csr.bob_graph
+
+    @pytest.mark.usefixtures("kernel_mode")
+    def test_csr_split_folds_pending_mutations(self, regular):
+        graph = as_backend(regular, "csr").copy()
+        removed = list(graph.edges())[::7]
+        for u, v in removed:
+            graph.remove_edge(u, v)
+        for u in range(0, 40, 2):
+            if not graph.has_edge(u, u + 101):
+                graph.add_edge(u, u + 101)
+        part = partition_random(graph, random.Random(5))
+        _assert_csr_identical(part.alice_graph, part.alice_edges)
+        _assert_csr_identical(part.bob_graph, part.bob_edges)
+        assert part.alice_edges | part.bob_edges == set(graph.edges())

@@ -80,6 +80,27 @@ class TestEdgeValidation:
         with pytest.raises(AssertionError, match="palette"):
             assert_proper_edge_coloring(g, {(0, 1): 5}, num_colors=3)
 
+    @pytest.mark.parametrize("key", [(0, 2), (2, 0), (1, 1)])
+    def test_rejects_color_on_non_edge(self, key):
+        g = Graph(3, [(0, 1), (1, 2)])
+        colors = {(0, 1): 1, (1, 2): 2, key: 3}
+        assert not is_proper_edge_coloring(g, colors)
+        with pytest.raises(AssertionError, match="non-edges"):
+            assert_proper_edge_coloring(g, colors)
+
+    @pytest.mark.parametrize("first", [(0, 1), (1, 0)])
+    def test_rejects_edge_keyed_twice_with_different_colors(self, first):
+        g = Graph(3, [(0, 1), (1, 2)])
+        # Whichever key comes last would win a plain normalization.
+        colors = {first: 1, first[::-1]: 3, (1, 2): 2}
+        assert not is_proper_edge_coloring(g, colors)
+        with pytest.raises(AssertionError, match="keyed twice"):
+            assert_proper_edge_coloring(g, colors)
+
+    def test_accepts_edge_keyed_twice_with_one_color(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        assert is_proper_edge_coloring(g, {(0, 1): 1, (1, 0): 1, (1, 2): 2})
+
 
 class TestListValidation:
     def test_accepts_list_respecting_coloring(self):
