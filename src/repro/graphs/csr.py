@@ -31,11 +31,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import compress
 from operator import sub
 
 from ..rand import kernels as _kernels
-from .graph import Edge, Graph, invert_mask
+from .graph import Edge, Graph
 
 __all__ = ["CSRGraph", "GraphBuilder", "from_edge_stream"]
 
@@ -53,35 +52,6 @@ def _from_numpy(values) -> array:
     out = array("q")
     out.frombytes(values.tobytes())
     return out
-
-
-def _fill_rows(n: int, us: array, vs: array) -> tuple[array, array]:
-    """CSR ``(indptr, indices)`` by a counting sort, rows in arrival order.
-
-    Both directions of every pair are inserted.  When the pairs are
-    distinct and arrive in sorted canonical order, every row comes out
-    sorted already: row ``x`` first receives its lower neighbors in
-    increasing order, then (while ``x`` is the head) its higher ones.
-    """
-    counts = _zeros(n)
-    for u in us:
-        counts[u] += 1
-    for v in vs:
-        counts[v] += 1
-    indptr = _zeros(n + 1)
-    total = 0
-    for i in range(n):
-        indptr[i] = total
-        total += counts[i]
-    indptr[n] = total
-    cursor = array("q", indptr[:n])
-    indices = _zeros(total)
-    for u, v in zip(us, vs):
-        indices[cursor[u]] = v
-        cursor[u] += 1
-        indices[cursor[v]] = u
-        cursor[v] += 1
-    return indptr, indices
 
 
 def _build_arrays(n: int, us: array, vs: array) -> tuple[array, array]:
@@ -112,7 +82,24 @@ def _build_arrays(n: int, us: array, vs: array) -> tuple[array, array]:
     # Pure path: counting sort into place, then per-row sort + dedup with
     # an in-place forward compaction (the write cursor never passes a
     # row's unread start, so no second buffer is needed).
-    indptr, indices = _fill_rows(n, us, vs)
+    counts = _zeros(n)
+    for u in us:
+        counts[u] += 1
+    for v in vs:
+        counts[v] += 1
+    indptr = _zeros(n + 1)
+    total = 0
+    for i in range(n):
+        indptr[i] = total
+        total += counts[i]
+    indptr[n] = total
+    cursor = array("q", indptr[:n])
+    indices = _zeros(total)
+    for u, v in zip(us, vs):
+        indices[cursor[u]] = v
+        cursor[u] += 1
+        indices[cursor[v]] = u
+        cursor[v] += 1
     write = 0
     for i in range(n):
         start, end = indptr[i], indptr[i + 1]
@@ -373,43 +360,27 @@ class CSRGraph(Graph):
     def split_by_mask(self, mask: bytes) -> tuple["CSRGraph", "CSRGraph"]:
         """The subgraphs of the edges whose mask byte is 1 and 0.
 
-        Rows are filtered, never re-sorted, so both sides are
-        byte-identical to :func:`from_edge_stream` over their edges.  With
-        numpy one vectorised pass tags every directed entry with its
-        edge's byte: entries ``(u, w)`` with ``w > u`` take the mask in
-        storage order (that *is* ``edges()`` order), and the lower
-        entries, stably re-sorted by ``w``, enumerate the same edges in the
-        same order.  The pure path streams the edges into a counting sort.
+        With numpy the upper entries ``(u, w)``, ``w > u``, of the rows are
+        the edges in ``edges()`` order, so the mask selects each side's
+        endpoint arrays in one vectorised pass and the regular builder
+        turns them into CSR — byte-identical to :func:`from_edge_stream`.
         """
+        np = _kernels._np
+        if np is None:
+            return super().split_by_mask(mask)
         # Removals leave slack inside rows; the vectorised pass needs none.
         if self._pending or len(self._indices) != 2 * self._m:
             self._flush()
-        np = _kernels._np
         n = self.n
-        if np is None or len(self._indices) < _NUMPY_BUILD_MIN:
-            sides = []
-            for side in (mask, invert_mask(mask)):
-                us, vs = array("q"), array("q")
-                for u, w in compress(self._iter_edges(), side):
-                    us.append(u)
-                    vs.append(w)
-                sides.append(_assemble(n, *_fill_rows(n, us, vs)))
-            return sides[0], sides[1]
         indptr = np.frombuffer(self._indptr, dtype=np.int64)
         dst = np.frombuffer(self._indices, dtype=np.int64)
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        bits = np.frombuffer(mask, dtype=np.uint8).astype(bool)
         upper = dst > src
-        ones = np.empty(dst.size, dtype=bool)
-        ones[upper] = bits
-        lower = np.flatnonzero(~upper)
-        ones[lower[np.argsort(dst[lower], kind="stable")]] = bits
+        us, vs = src[upper], dst[upper]
+        ones = np.frombuffer(mask, dtype=np.uint8).astype(bool)
 
         def side(keep):
-            # Kept entries before each row start are that side's offsets.
-            running = np.zeros(dst.size + 1, dtype=np.int64)
-            np.cumsum(keep, out=running[1:])
-            return _assemble(n, _from_numpy(running[indptr]), _from_numpy(dst[keep]))
+            return _assemble(n, *_build_arrays(n, _from_numpy(us[keep]), _from_numpy(vs[keep])))
 
         return side(ones), side(~ones)
 

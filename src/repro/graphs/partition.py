@@ -38,16 +38,16 @@ class EdgePartition:
     their own edge set (and derived adjacency/degrees) plus the public
     parameters ``n`` and ``Δ`` of the *whole* graph.
 
-    The split itself is :attr:`owner_mask`: one byte per edge in
-    ``graph.edges()`` order, 1 for Alice and 0 for Bob.  Since every
-    backend enumerates edges in that same order, the mask survives
-    :meth:`astype` verbatim.  Everything else — the side graphs and the
+    The split itself is :attr:`owner_mask`: immutable ``bytes``, one
+    byte per edge in ``graph.edges()`` order, 1 for Alice and 0 for Bob.
+    Since every backend enumerates edges in that same order, the mask
+    survives :meth:`astype` verbatim.  Everything else — the side graphs and the
     edge sets — is derived from it on first access and cached.
     """
 
     def __init__(self, graph: Graph, alice_edges: Iterable[Edge]) -> None:
         alice = {(u, v) if u < v else (v, u) for u, v in alice_edges}
-        mask = bytearray(map(alice.__contains__, graph.edges()))
+        mask = bytes(map(alice.__contains__, graph.edges()))
         if mask.count(1) != len(alice):
             extra = sorted(alice - set(graph.edges()))[:3]
             raise ValueError(f"alice edges not in graph, e.g. {extra}")
@@ -56,7 +56,12 @@ class EdgePartition:
 
     @classmethod
     def from_mask(cls, graph: Graph, mask: bytes) -> "EdgePartition":
-        """The partition giving Alice the edges whose mask byte is 1."""
+        """The partition giving Alice the edges whose mask byte is 1.
+
+        The mask is copied to ``bytes`` (a ``bytes`` mask is kept as is),
+        so later writes to a caller's ``bytearray`` cannot change the split.
+        """
+        mask = bytes(mask)
         if len(mask) != graph.m or mask.count(0) + mask.count(1) != len(mask):
             raise ValueError(f"need one 0/1 byte per edge ({graph.m}), got {len(mask)}")
         part = cls.__new__(cls)
@@ -141,29 +146,29 @@ def partition_random(graph: Graph, rng: RandomSource, p_alice: float = 0.5) -> E
     One draw per edge, in ``edges()`` order.
     """
     draw = as_random(rng).random
-    mask = bytearray([draw() < p_alice for _ in range(graph.m)])
+    mask = bytes([draw() < p_alice for _ in range(graph.m)])
     return EdgePartition.from_mask(graph, mask)
 
 
 def partition_all_alice(graph: Graph, rng: RandomSource | None = None) -> EdgePartition:
     """Alice holds every edge (the FM25 lower-bound regime)."""
-    return EdgePartition.from_mask(graph, bytearray(b"\x01") * graph.m)
+    return EdgePartition.from_mask(graph, b"\x01" * graph.m)
 
 
 def partition_all_bob(graph: Graph, rng: RandomSource | None = None) -> EdgePartition:
     """Bob holds every edge."""
-    return EdgePartition.from_mask(graph, bytearray(graph.m))
+    return EdgePartition.from_mask(graph, bytes(graph.m))
 
 
 def partition_alternating(graph: Graph, rng: RandomSource | None = None) -> EdgePartition:
     """Edges alternate Alice/Bob in canonical order (deterministic 50/50)."""
-    mask = (bytearray(b"\x01\x00") * ((graph.m + 1) // 2))[: graph.m]
+    mask = (b"\x01\x00" * ((graph.m + 1) // 2))[: graph.m]
     return EdgePartition.from_mask(graph, mask)
 
 
 def partition_by_hash(graph: Graph, rng: RandomSource | None = None) -> EdgePartition:
     """Deterministic pseudo-random split keyed on the edge identity."""
-    mask = bytearray(
+    mask = bytes(
         (u * 0x9E3779B1 ^ v * 0x85EBCA77) & 1 for u, v in graph.edges()
     )
     return EdgePartition.from_mask(graph, mask)
@@ -198,7 +203,7 @@ def partition_crossing(graph: Graph, rng: RandomSource) -> EdgePartition:
     """
     rng = as_random(rng)
     side = [rng.random() < 0.5 for _ in range(graph.n)]
-    mask = bytearray(side[u] != side[v] for u, v in graph.edges())
+    mask = bytes(side[u] != side[v] for u, v in graph.edges())
     return EdgePartition.from_mask(graph, mask)
 
 

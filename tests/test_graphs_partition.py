@@ -31,7 +31,8 @@ BACKENDS = ("set", "bitset", "csr")
 #: sha256 prefixes of ``repr(sorted(alice_edges))`` for every partitioner on
 #: ``random_regular_graph(200, 8, Random(7))`` with ``Random(11)``, as the
 #: eager edge-set construction computed them on every backend.  m = 800,
-#: so the CSR split takes its numpy path whenever kernels are on.
+#: so the CSR split selects with numpy whenever kernels are on (the sides
+#: are small enough to build on the builder's pure path either way).
 EAGER_ALICE_DIGESTS = {
     "random": "90681ea4938626d5",
     "all_alice": "bf72fc7daa2c6fc8",
@@ -224,6 +225,17 @@ class TestConstructor:
         with pytest.raises(ValueError):
             EdgePartition.from_mask(g, bytearray([0, 1, 2, 0, 1, 0]))
 
+    def test_mask_is_immutable_and_owned(self, backend):
+        g = as_backend(complete_graph(4), backend)
+        mask = bytearray([1, 0, 1, 0, 1, 0])
+        part = EdgePartition.from_mask(g, mask)
+        mask[0] = 0
+        assert isinstance(part.owner_mask, bytes)
+        assert part.owner(0, 1) == "alice"
+        converted = part.astype("csr" if backend != "csr" else "set")
+        assert isinstance(converted.owner_mask, bytes)
+        assert converted.owner_mask == part.owner_mask
+
 
 class TestLazySides:
     def test_conversion_builds_no_side_graph(self, regular):
@@ -232,6 +244,15 @@ class TestLazySides:
         assert "_sides" not in part.__dict__ and "_sides" not in csr.__dict__
         assert csr.side_graph("alice") is csr.alice_graph
         assert csr.side_graph("bob") is csr.bob_graph
+
+    @pytest.mark.usefixtures("kernel_mode")
+    def test_csr_split_large_sides_match_edge_stream(self):
+        # m = 2400: both sides pass the builder's numpy threshold.
+        graph = as_backend(random_regular_graph(600, 8, random.Random(2)), "csr")
+        for factory in (partition_random, partition_all_alice):
+            part = factory(graph, random.Random(4))
+            _assert_csr_identical(part.alice_graph, part.alice_edges)
+            _assert_csr_identical(part.bob_graph, part.bob_edges)
 
     @pytest.mark.usefixtures("kernel_mode")
     def test_csr_split_folds_pending_mutations(self, regular):
