@@ -38,14 +38,14 @@ Subcommands:
     Compare the set-based and bitset graph backends on the shared
     medium benchmark workload (kernels + end-to-end protocols), under
     ``--transport``; with ``--compare-transports``, time the protocols
-    across all three comm transports instead; with ``--rand``, time the
-    randomness substrates (legacy ``random.Random`` tape vs
-    ``repro.rand`` streams) on micro draws and the Theorem 1 vertex
-    path; with ``--graphs``, compare the graph *representations*
-    (set / bitset / csr) on a shared power-law edge list — build time,
-    probe throughput, and memory, with the ``--min-csr-speedup`` CI
-    floor; with ``--profile``, emit cProfile's top functions for that
-    path.  ``--json`` writes the rows to a machine-readable file.
+    across all three comm transports instead, with the
+    ``--max-obs-overhead`` CI ceiling; with ``--rand``, time the numpy
+    kernels of ``repro.rand`` against the pure-Python paths, with the
+    ``--min-kernel-speedup`` CI floor; with ``--graphs``, compare the
+    graph *representations* (set / bitset / csr) on a shared power-law
+    edge list — build time, probe throughput, and memory, with the
+    ``--min-csr-speedup`` CI floor.  ``--json`` writes the rows to a
+    machine-readable file.
 
 ``trace``
     Summarize or convert a trace file produced by ``--trace``: aggregate
@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Sequence
 from contextlib import nullcontext
@@ -85,8 +86,6 @@ from .engine import (
     load_shard_document,
     merge_documents,
     parse_shard_spec,
-    profile_hotspots,
-    rand_comparison,
     results_table,
     shard_scenarios,
     smoke_scenarios,
@@ -430,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n",
         type=int,
         default=None,
-        help="vertices (default 512; 100000 with --graphs)",
+        help="vertices (default 512; 100000 with --graphs; unused by --rand)",
     )
     bench_p.add_argument(
         "--degree",
@@ -464,9 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rand",
         action="store_true",
         help=(
-            "time the randomness substrates (legacy random.Random tape "
-            "vs repro.rand streams) on micro draws and the Theorem 1 "
-            "vertex path instead of comparing graph backends"
+            "time the numpy kernels of repro.rand against the pure-Python "
+            "paths instead of comparing graph backends"
         ),
     )
     bench_p.add_argument(
@@ -480,37 +478,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench_p.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "cProfile the Theorem 1 vertex path on the medium workload "
-            "and print the top functions by cumulative time"
-        ),
-    )
-    bench_p.add_argument(
-        "--top",
-        type=int,
-        default=15,
-        metavar="N",
-        help="rows to keep with --profile (default 15)",
-    )
-    bench_p.add_argument(
         "--json",
         default=None,
         metavar="PATH",
         help="also write the bench rows to PATH as JSON",
-    )
-    bench_p.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "fail (exit 1) if the guarded end-to-end speedup drops below "
-            "X: with --rand the protocol stream-vs-tape speedup, with "
-            "--compare-transports the Theorem 1 pooled-count-vs-"
-            "pre-pooling-baseline speedup — the CI regression guards"
-        ),
     )
     bench_p.add_argument(
         "--min-kernel-speedup",
@@ -841,23 +812,24 @@ def _write_bench_json(rows, path: str, label: str) -> None:
     print(f"wrote {out}")
 
 
+def _floor_holds(value: float, floor: float) -> bool:
+    """``value >= floor`` for a finite ``value``; NaN and inf never pass."""
+    return math.isfinite(value) and value >= floor
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    exclusive = [args.compare_transports, args.rand, args.profile, args.graphs]
+    exclusive = [args.compare_transports, args.rand, args.graphs]
     if sum(exclusive) > 1:
         print(
-            "error: --compare-transports, --rand, --profile, and --graphs "
+            "error: --compare-transports, --rand, and --graphs "
             "are mutually exclusive",
             file=sys.stderr,
         )
         return 2
-    n = args.n if args.n is not None else (100_000 if args.graphs else 512)
-    if args.min_speedup is not None and not (args.rand or args.compare_transports):
-        print(
-            "error: --min-speedup only applies to --rand or "
-            "--compare-transports (the perf regression guards)",
-            file=sys.stderr,
-        )
+    if args.repeat < 1:
+        print(f"error: --repeat must be >= 1, got {args.repeat}", file=sys.stderr)
         return 2
+    n = args.n if args.n is not None else (100_000 if args.graphs else 512)
     if args.min_kernel_speedup is not None and not args.rand:
         print(
             "error: --min-kernel-speedup only applies to --rand "
@@ -879,8 +851,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if (args.rand or args.profile or args.graphs) and args.transport != "lockstep":
-        mode = "--rand" if args.rand else "--profile" if args.profile else "--graphs"
+    if (args.rand or args.graphs) and args.transport != "lockstep":
+        mode = "--rand" if args.rand else "--graphs"
         print(
             f"error: --transport conflicts with {mode} "
             "(these modes never touch the comm layer's transports)",
@@ -933,7 +905,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 return 2
             speedup = csr["probe_speedup_vs_bitset"]
             mem_ratio = csr["mem_ratio_vs_bitset"]
-            if speedup < args.min_csr_speedup and mem_ratio < 10.0:
+            if not (
+                _floor_holds(speedup, args.min_csr_speedup)
+                or _floor_holds(mem_ratio, 10.0)
+            ):
                 print(
                     f"REGRESSION: csr probe speedup {speedup:.2f}x is below "
                     f"the {args.min_csr_speedup:.2f}x floor and memory ratio "
@@ -949,81 +924,37 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
 
     if args.rand:
-        degree = args.degree if args.degree is not None else 8
-        try:
-            with _obs_context(args):
-                rows = rand_comparison(
-                    n=n, d=degree, seed=args.seed, repeat=args.repeat
-                )
-        except ValueError as exc:
-            print(f"error: infeasible workload: {exc}", file=sys.stderr)
-            return 2
-        table_rows = [
-            [
-                r["op"],
-                f"{r['tape_s'] * 1e3:.3f}",
-                f"{r['stream_s'] * 1e3:.3f}",
-                f"{r['speedup']:.2f}x",
-            ]
-            for r in rows
-        ]
-        print(
-            format_table(
-                ["op", "random.Random tape (ms)", "stream (ms)", "speedup"],
-                table_rows,
-                title=(
-                    f"randomness substrate comparison — medium workload "
-                    f"(n={n}, d={degree}, seed={args.seed})"
-                ),
-            )
-        )
-        kernel_rows = kernel_comparison(seed=args.seed, repeat=args.repeat)
-        if kernel_rows:
-            kernel_table = [
+        with _obs_context(args):
+            rows = kernel_comparison(seed=args.seed, repeat=args.repeat)
+        if not rows:
+            print("numpy kernel backend unavailable — pure-Python paths only")
+        else:
+            table_rows = [
                 [
                     r["op"],
                     f"{r['pure_s'] * 1e3:.3f}",
                     f"{r['kernel_s'] * 1e3:.3f}",
                     f"{r['speedup']:.2f}x",
                 ]
-                for r in kernel_rows
+                for r in rows
             ]
             print(
                 format_table(
                     ["op", "pure python (ms)", "numpy kernel (ms)", "speedup"],
-                    kernel_table,
+                    table_rows,
                     title="numpy kernel backend — batch draws above dispatch thresholds",
                 )
             )
-        else:
-            print("numpy kernel backend unavailable — pure-Python paths only")
         if args.json:
-            _write_bench_json(rows + kernel_rows, args.json, "rand_comparison")
-        protocol_rows = [r for r in rows if r["op"].startswith("protocol")]
-        if not all(r.get("stream_coloring_proper") for r in protocol_rows):
-            print("stream substrate produced an improper coloring!", file=sys.stderr)
-            return 1
-        if args.min_speedup is not None:
-            worst = min(r["speedup"] for r in protocol_rows)
-            if worst < args.min_speedup:
-                print(
-                    f"REGRESSION: protocol stream speedup {worst:.2f}x is "
-                    f"below the {args.min_speedup:.2f}x floor",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"regression guard: protocol speedup {worst:.2f}x >= "
-                f"{args.min_speedup:.2f}x floor"
-            )
+            _write_bench_json(rows, args.json, "kernel_comparison")
         if args.min_kernel_speedup is not None:
-            if not kernel_rows:
+            if not rows:
                 print(
                     "kernel guard skipped: numpy unavailable, nothing to floor"
                 )
             else:
-                worst_kernel = min(r["speedup"] for r in kernel_rows)
-                if worst_kernel < args.min_kernel_speedup:
+                worst_kernel = min(r["speedup"] for r in rows)
+                if not _floor_holds(worst_kernel, args.min_kernel_speedup):
                     print(
                         f"REGRESSION: kernel batch speedup {worst_kernel:.2f}x "
                         f"is below the {args.min_kernel_speedup:.2f}x floor",
@@ -1034,39 +965,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     f"kernel guard: batch speedup {worst_kernel:.2f}x >= "
                     f"{args.min_kernel_speedup:.2f}x floor"
                 )
-        return 0
-
-    if args.profile:
-        degree = args.degree if args.degree is not None else 8
-        try:
-            rows = profile_hotspots(
-                n=n, d=degree, seed=args.seed, top=args.top
-            )
-        except ValueError as exc:
-            print(f"error: infeasible workload: {exc}", file=sys.stderr)
-            return 2
-        table_rows = [
-            [
-                r["function"],
-                f"{r['file']}:{r['line']}",
-                str(r["ncalls"]),
-                f"{r['tottime_s'] * 1e3:.3f}",
-                f"{r['cumtime_s'] * 1e3:.3f}",
-            ]
-            for r in rows
-        ]
-        print(
-            format_table(
-                ["function", "location", "ncalls", "tottime (ms)", "cumtime (ms)"],
-                table_rows,
-                title=(
-                    f"cProfile hotspots — vertex (thm 1) on the medium "
-                    f"workload (n={n}, d={degree}, seed={args.seed})"
-                ),
-            )
-        )
-        if args.json:
-            _write_bench_json(rows, args.json, "profile_hotspots")
         return 0
 
     if args.compare_transports:
@@ -1097,18 +995,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             ]
             for r in rows
         ]
-        baseline = next((r for r in rows if "legacy_s" in r), None)
-        if baseline is not None:
-            table_rows.append(
-                [
-                    "vertex (thm 1) pooled vs pre-pooling baseline",
-                    f"{baseline['legacy_s'] * 1e3:.3f}",
-                    f"{baseline['count_s'] * 1e3:.3f}",
-                    "-",
-                    f"{baseline['pooled_speedup']:.2f}x",
-                    "yes" if baseline["legacy_transcript_equal"] else "NO",
-                ]
-            )
         print(
             format_table(
                 [
@@ -1131,40 +1017,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if not all(r["transcripts_equal"] for r in rows):
             print("transports produced different transcripts!", file=sys.stderr)
             return 1
-        if baseline is not None and not baseline["legacy_transcript_equal"]:
-            print(
-                "pre-pooling baseline produced a different transcript!",
-                file=sys.stderr,
-            )
-            return 1
-        if args.min_speedup is not None:
-            if baseline is None:
-                print(
-                    "error: no Theorem 1 baseline row to guard", file=sys.stderr
-                )
-                return 2
-            speedup = baseline["pooled_speedup"]
-            if speedup < args.min_speedup:
-                print(
-                    f"REGRESSION: pooled count path speedup {speedup:.2f}x is "
-                    f"below the {args.min_speedup:.2f}x floor (vs the frozen "
-                    "pre-pooling lockstep baseline)",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"regression guard: pooled speedup {speedup:.2f}x >= "
-                f"{args.min_speedup:.2f}x floor"
-            )
         if args.max_obs_overhead is not None:
-            if baseline is None or "obs_overhead" not in baseline:
+            observed = next((r for r in rows if "obs_overhead" in r), None)
+            if observed is None:
                 print(
                     "error: no Theorem 1 observability row to guard",
                     file=sys.stderr,
                 )
                 return 2
-            overhead = baseline["obs_overhead"] * 100.0
-            if overhead > args.max_obs_overhead:
+            overhead = observed["obs_overhead"] * 100.0
+            if not (
+                math.isfinite(overhead) and overhead <= args.max_obs_overhead
+            ):
                 print(
                     f"REGRESSION: enabled-observer overhead {overhead:.1f}% "
                     f"on Theorem 1 exceeds the "
@@ -1174,8 +1038,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 return 1
             print(
                 f"obs overhead guard: {overhead:.1f}% <= "
-                f"{args.max_obs_overhead:.1f}% ceiling "
-                "(disabled path is guarded by the pooled-speedup floor)"
+                f"{args.max_obs_overhead:.1f}% ceiling"
             )
         return 0
 

@@ -19,8 +19,6 @@ from .bench import (
     graphs_comparison,
     kernel_comparison,
     medium_workload,
-    profile_hotspots,
-    rand_comparison,
     transport_comparison,
 )
 from .results import build_document, results_table, write_results
@@ -76,8 +74,6 @@ __all__ = [
     "merge_documents",
     "pack_shards",
     "parse_shard_spec",
-    "profile_hotspots",
-    "rand_comparison",
     "results_table",
     "run_scenario",
     "run_scenario_rep",

@@ -15,33 +15,28 @@ workload (random d-regular, n=512, d=10) and checks that every transport
 produced identical transcript totals — the count-only transport's speedup
 is pure comm-simulation overhead removed, not changed behavior.
 
-``rand_comparison`` times the randomness substrates — the legacy
-``random.Random`` tape versus the ``repro.rand`` counter-based streams —
-on micro draws and on the end-to-end Theorem 1 vertex path, and
-``profile_hotspots`` emits cProfile's top functions for that path as
-JSON-ready rows so hot-path claims are reproducible from the CLI.
+``kernel_comparison`` times the numpy kernels of ``repro.rand`` against
+the pure-Python paths they are bit-for-bit equal to, and
+``graphs_comparison`` the three graph representations on one shared
+power-law edge list.  Whole-run timing against an earlier commit is
+``perfbench``'s job (``perfbench/ab.py``), not this module's.
 """
 
 from __future__ import annotations
 
-import cProfile
-import pstats
-import random
 import time
 from typing import Any, Callable
 
-from ..comm.transport import TRANSPORTS, resolve_transport
+from ..comm.transport import TRANSPORTS
 from ..core.edge_coloring import run_edge_coloring, run_zero_comm_edge_coloring
-from ..core.random_color_trial import paper_iteration_count
-from ..core.vertex_coloring import run_vertex_coloring, vertex_coloring_proto
+from ..core.vertex_coloring import run_vertex_coloring
 from ..graphs import (
     GRAPH_BACKENDS,
     EdgePartition,
     configuration_model_edge_stream,
     power_law_degree_sequence,
 )
-from ..graphs.validation import is_proper_vertex_coloring
-from ..rand import LegacyTape, Stream
+from ..rand import Stream
 from .runner import build_partition
 from .scenarios import Scenario
 
@@ -50,8 +45,6 @@ __all__ = [
     "graphs_comparison",
     "kernel_comparison",
     "medium_workload",
-    "profile_hotspots",
-    "rand_comparison",
     "transport_comparison",
 ]
 
@@ -74,6 +67,8 @@ def medium_workload(n: int = 512, d: int = 8, seed: int = 42) -> EdgePartition:
 
 def _time(fn: Callable[[], Any], repeat: int) -> float:
     """Best-of-``repeat`` wall time in seconds (min damps scheduler noise)."""
+    if repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {repeat}")
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
@@ -230,125 +225,6 @@ def graphs_comparison(
     return rows
 
 
-def _run_vertex_on_tape(part: EdgePartition, seed: int, tape_cls) -> dict[int, int]:
-    """Theorem 1 end-to-end on an explicit randomness substrate.
-
-    Mirrors :func:`repro.core.run_vertex_coloring` but swaps the public
-    tapes, so the same migrated protocol code runs on either substrate.
-    """
-    num_colors = part.max_degree + 1
-    cap = paper_iteration_count(part.n)
-    core = resolve_transport(None)
-    transcript = core.new_transcript()
-    pub_alice, pub_bob = tape_cls(seed), tape_cls(seed)
-    rng_alice = random.Random((seed << 1) ^ 0xA11CE)
-    rng_bob = random.Random((seed << 1) ^ 0xB0B)
-    (colors, _), (b_colors, _), _ = core.run(
-        lambda ch: vertex_coloring_proto(
-            ch, "alice", part.alice_graph, num_colors, pub_alice, rng_alice, cap
-        ),
-        lambda ch: vertex_coloring_proto(
-            ch, "bob", part.bob_graph, num_colors, pub_bob, rng_bob, cap
-        ),
-        transcript,
-    )
-    if colors != b_colors:
-        raise AssertionError("parties disagree on the coloring")
-    return colors
-
-
-def rand_comparison(
-    n: int = 512, d: int = 8, seed: int = 42, repeat: int = 5
-) -> list[dict[str, Any]]:
-    """Rows of ``{op, tape_s, stream_s, speedup}`` — old tape vs streams.
-
-    Micro rows time the substrate primitives head-to-head (labelled
-    splitting, permutation reads, sparse masks, batch coins); the
-    protocol row runs the full Theorem 1 vertex path on the standard
-    medium workload under both substrates, with the streams' coloring
-    checked proper.  The tape rows execute the exact pre-``repro.rand``
-    cost model (:class:`repro.rand.LegacyTape`): eager O(m) permutations
-    with eager inverses, dense Bernoulli masks, a fresh Mersenne-Twister
-    per derived sub-stream.
-    """
-    part = medium_workload(n, d, seed)
-    m = part.max_degree + 1
-
-    def splitting(tape_factory):
-        def run():
-            root = tape_factory(seed)
-            for v in range(2000):
-                root.derive("bench", v)
-        return run
-
-    def perm_reads(tape_factory):
-        def run():
-            root = tape_factory(seed)
-            for v in range(2000):
-                perm = root.derive(v).permutation(m)
-                perm.index_of(v % m)
-                perm[0]
-        return run
-
-    def sparse_masks(tape_factory):
-        def run():
-            stream = tape_factory(seed).derive("mask")
-            for _ in range(100):
-                stream.sample_indices(4096, 0.01)
-        return run
-
-    def batch_coins(tape_factory):
-        def run():
-            stream = tape_factory(seed).derive("coins")
-            for _ in range(100):
-                stream.coins(n, 0.5)
-        return run
-
-    kernels: list[tuple[str, Callable, int]] = [
-        ("derive 2k sub-streams", splitting, 2 * repeat),
-        (f"2k lazy perm reads (m={m})", perm_reads, 2 * repeat),
-        ("sparse mask m=4096 p=0.01", sparse_masks, 2 * repeat),
-        (f"batch coins k={n} p=0.5", batch_coins, 2 * repeat),
-    ]
-
-    rows = []
-    for name, make, reps in kernels:
-        tape_s = _time(make(LegacyTape), reps)
-        stream_s = _time(make(lambda s: Stream.from_seed(s)), reps)
-        rows.append(
-            {
-                "op": name,
-                "n": n,
-                "d": d,
-                "seed": seed,
-                "tape_s": tape_s,
-                "stream_s": stream_s,
-                "speedup": tape_s / stream_s if stream_s > 0 else float("inf"),
-            }
-        )
-
-    colors = _run_vertex_on_tape(part, seed, lambda s: Stream.from_seed(s, "public"))
-    proper = is_proper_vertex_coloring(part.graph, colors, num_colors=m)
-    tape_s = _time(lambda: _run_vertex_on_tape(part, seed, LegacyTape), repeat)
-    stream_s = _time(
-        lambda: _run_vertex_on_tape(part, seed, lambda s: Stream.from_seed(s, "public")),
-        repeat,
-    )
-    rows.append(
-        {
-            "op": "protocol: vertex (thm 1)",
-            "n": n,
-            "d": d,
-            "seed": seed,
-            "tape_s": tape_s,
-            "stream_s": stream_s,
-            "speedup": tape_s / stream_s if stream_s > 0 else float("inf"),
-            "stream_coloring_proper": proper,
-        }
-    )
-    return rows
-
-
 def kernel_comparison(seed: int = 42, repeat: int = 5) -> list[dict[str, Any]]:
     """Rows of ``{op, pure_s, kernel_s, speedup}`` — pure Python vs numpy.
 
@@ -401,40 +277,6 @@ def kernel_comparison(seed: int = 42, repeat: int = 5) -> list[dict[str, Any]]:
     return rows
 
 
-def profile_hotspots(
-    n: int = 512, d: int = 8, seed: int = 42, top: int = 15
-) -> list[dict[str, Any]]:
-    """cProfile the Theorem 1 vertex path; top-``top`` rows by cumtime.
-
-    Each row is ``{function, file, line, ncalls, tottime_s, cumtime_s}``,
-    ready for the table renderers or ``--json`` — the reproducible form
-    of "the hot path is X" claims.
-    """
-    part = medium_workload(n, d, seed)
-    run_vertex_coloring(part, seed=seed)  # warm caches outside the profile
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_vertex_coloring(part, seed=seed)
-    profiler.disable()
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    rows = []
-    for func in stats.fcn_list[:top]:  # (file, line, name) in sort order
-        cc, nc, tottime, cumtime, _callers = stats.stats[func]
-        file, line, name = func
-        rows.append(
-            {
-                "function": name,
-                "file": file,
-                "line": line,
-                "ncalls": nc,
-                "tottime_s": round(tottime, 6),
-                "cumtime_s": round(cumtime, 6),
-            }
-        )
-    return rows
-
-
 def transport_comparison(
     n: int = 512, d: int = 10, seed: int = 42, repeat: int = 3
 ) -> list[dict[str, Any]]:
@@ -451,17 +293,6 @@ def transport_comparison(
     wall time; the Theorem 1/2 rows spend most of their time in protocol
     computation shared by every transport, so their speedups are smaller.
 
-    The Theorem 1 row additionally times
-    :func:`repro.engine._legacy_thm1.run_vertex_coloring_legacy` — the
-    frozen pre-pooling comm machinery on the same workload — and reports
-    ``legacy_s``, ``pooled_speedup`` (legacy lockstep vs pooled count) and
-    ``legacy_transcript_equal``.  That before/after pair is what the CI
-    regression guard (``--compare-transports --min-speedup``) watches,
-    mirroring the ``--rand`` guard's tape-vs-stream role.  Because the
-    legacy baseline predates (and never gained) the observability gates,
-    the same floor doubles as the proof that the NullObserver off path
-    costs nothing measurable on the guarded hot loop.
-
     The Theorem 1 row also times the count path with observability
     *enabled* — a live tracer + metrics registry writing to a scratch
     directory, plus the per-run span/ledger reporting the engine adds —
@@ -474,7 +305,6 @@ def transport_comparison(
 
     from ..baselines import run_flin_mittal, run_greedy_binary_search
     from ..obs import observing
-    from ._legacy_thm1 import run_vertex_coloring_legacy
 
     part = medium_workload(n, d, seed)
 
@@ -525,19 +355,6 @@ def transport_comparison(
             ),
         }
         if name == "vertex (thm 1)":
-            legacy: list[Any] = []
-
-            def timed_legacy(sink=legacy):
-                sink[:] = [run_vertex_coloring_legacy(part, seed=seed)]
-
-            legacy_s = _time(timed_legacy, repeat)
-            row["legacy_s"] = legacy_s
-            row["pooled_speedup"] = (
-                legacy_s / times["count"] if times["count"] > 0 else float("inf")
-            )
-            row["legacy_transcript_equal"] = (
-                legacy[0].transcript.summary() == reference
-            )
             # Enabled-observability arm: the identical count run under a
             # live observer, plus exactly the per-run reporting the
             # engine performs (one protocol span + one post-hoc ledger

@@ -11,10 +11,10 @@ The contract, in order of importance:
    :data:`NULL_OBSERVER` (``enabled = False``); the engine's
    instrumentation points live on per-scenario cold paths, and the two
    comm hot-path sites go through :mod:`repro.comm.telemetry`'s single
-   module-flag branch.  The CI bench guard holds the count-transport
-   Theorem 1 path to its existing speedup floor against the frozen,
-   never-instrumented ``engine/_legacy_thm1`` baseline, plus a
-   ``--max-obs-overhead`` ceiling on the enabled path.
+   module-flag branch.  The benchmark's A/B against the parent commit
+   runs every workload with the observer off, so an off-path cost
+   shows as an end-to-end regression; ``bench --compare-transports
+   --max-obs-overhead`` caps the enabled path.
 3. **One switch.**  :func:`observing` installs an :class:`Observer`
    (tracer and/or metrics registry), enables the comm telemetry
    counters, and on exit folds telemetry + wall-clock into the metrics

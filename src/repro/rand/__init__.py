@@ -14,8 +14,6 @@ The randomness substrate under every protocol in the library:
   fan-out, building the small tables in one numpy batch.
 * Geometric-skip sparse sampling (:meth:`Stream.sample_indices`) and
   batch draw primitives (:meth:`Stream.coins`, :meth:`Stream.ints`).
-* :class:`LegacyTape` — the old ``random.Random`` tape behind the new
-  API, kept solely as the baseline for ``python -m repro bench --rand``.
 
 Every call site in the library speaks this API directly (the deprecated
 ``PublicRandomness`` compatibility shim has been retired).
@@ -31,7 +29,6 @@ from .core import (
     mix64,
     stable_label_hash,
 )
-from .legacy import LegacyTape
 from .perm import (
     SMALL_THRESHOLD,
     FeistelPermutation,
@@ -45,7 +42,6 @@ from .sampling import geometric_indices
 __all__ = [
     "FeistelPermutation",
     "Label",
-    "LegacyTape",
     "Permutation",
     "RandomSource",
     "SMALL_THRESHOLD",

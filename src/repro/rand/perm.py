@@ -267,8 +267,8 @@ def permutations(streams: Sequence, m: int) -> list[Permutation]:
     :data:`~repro.rand.kernels.PERM_MIN_BATCH` entries, the numpy kernel
     builds all their forward tables up front as ``bytes`` rows.  The
     inverse is still built only if ``index_of`` is called.  Otherwise —
-    no numpy, the Lehmer or Feistel sizes, or any other permutation type,
-    such as ``LegacyTape``'s eager shuffle — the permutations stay as the
+    no numpy, the Lehmer or Feistel sizes, or a stream-like object whose
+    ``permutation`` returns any other type — the permutations stay as the
     streams returned them.
     """
     perms = [s.permutation(m) for s in streams]

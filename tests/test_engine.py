@@ -15,15 +15,15 @@ from repro.engine import (
     build_workload,
     default_scenarios,
     iter_scenarios,
-    profile_hotspots,
-    rand_comparison,
     results_table,
     run_scenario,
     smoke_scenarios,
     sweep,
+    transport_comparison,
     write_results,
 )
 from repro.__main__ import main
+from repro.rand import kernels
 
 
 def _tiny(protocol: str, backend: str = "set", partition: str = "random") -> Scenario:
@@ -233,38 +233,103 @@ def test_cli_bench_tiny(capsys):
     assert "graph backend comparison" in out
 
 
-def test_rand_comparison_rows():
-    rows = rand_comparison(n=48, d=4, seed=1, repeat=1)
-    assert {r["op"] for r in rows} >= {"derive 2k sub-streams", "protocol: vertex (thm 1)"}
-    protocol = next(r for r in rows if r["op"].startswith("protocol"))
-    assert protocol["stream_coloring_proper"]
-    assert all(r["tape_s"] > 0 and r["stream_s"] > 0 for r in rows)
+def test_transport_comparison_rows():
+    rows = transport_comparison(n=48, d=4, seed=1, repeat=1)
+    assert all(r["transcripts_equal"] for r in rows)
+    vertex = next(r for r in rows if r["protocol"] == "vertex (thm 1)")
+    assert "obs_overhead" in vertex
+    assert not any(key.startswith("legacy_") for r in rows for key in r)
 
 
-def test_profile_hotspots_rows():
-    rows = profile_hotspots(n=48, d=4, seed=1, top=5)
-    assert 0 < len(rows) <= 5
-    assert {"function", "file", "line", "ncalls", "tottime_s", "cumtime_s"} <= set(
-        rows[0]
-    )
-    # cumtime-sorted: the driver should dominate the first row
-    assert rows[0]["cumtime_s"] >= rows[-1]["cumtime_s"]
-
-
-def test_cli_bench_rand_and_profile(tmp_path, capsys):
-    out_json = tmp_path / "rand.json"
+def test_cli_bench_compare_transports(tmp_path, capsys):
+    out_json = tmp_path / "transports.json"
     assert main(
-        ["bench", "--rand", "--n", "48", "--degree", "4", "--repeat", "1",
-         "--json", str(out_json)]
+        ["bench", "--compare-transports", "--n", "48", "--degree", "4",
+         "--repeat", "1", "--json", str(out_json), "--max-obs-overhead", "1e6"]
     ) == 0
     out = capsys.readouterr().out
-    assert "randomness substrate comparison" in out
+    assert "comm transport comparison" in out
+    assert "obs overhead guard" in out
     document = json.loads(out_json.read_text())
-    assert document["bench"] == "rand_comparison"
-    assert any(r["op"].startswith("protocol") for r in document["rows"])
+    assert document["bench"] == "transport_comparison"
+    assert all(r["transcripts_equal"] for r in document["rows"])
 
-    assert main(["bench", "--profile", "--n", "48", "--degree", "4", "--top", "5"]) == 0
-    assert "cProfile hotspots" in capsys.readouterr().out
+
+def test_cli_bench_obs_ceiling_fails_on_impossible_bound(capsys):
+    # Enabled observability can never run in less than no time.
+    assert main(
+        ["bench", "--compare-transports", "--n", "48", "--degree", "4",
+         "--repeat", "1", "--max-obs-overhead", "-100"]
+    ) == 1
+    assert "REGRESSION" in capsys.readouterr().err
+
+
+def test_cli_bench_obs_ceiling_fails_on_nan(monkeypatch, capsys):
+    row = {
+        "protocol": "vertex (thm 1)", "lockstep_s": 1.0, "count_s": 1.0,
+        "strict_s": 1.0, "count_speedup": 1.0, "transcripts_equal": True,
+        "obs_overhead": float("nan"),
+    }
+    monkeypatch.setattr(
+        "repro.__main__.transport_comparison", lambda **kwargs: [row]
+    )
+    assert main(["bench", "--compare-transports", "--max-obs-overhead", "25"]) == 1
+    assert "REGRESSION" in capsys.readouterr().err
+
+
+def test_cli_bench_rand(tmp_path, capsys):
+    out_json = tmp_path / "rand.json"
+    assert main(
+        ["bench", "--rand", "--repeat", "1", "--json", str(out_json)]
+    ) == 0
+    out = capsys.readouterr().out
+    document = json.loads(out_json.read_text())
+    assert document["bench"] == "kernel_comparison"
+    if kernels.available():
+        assert "numpy kernel backend" in out
+        assert document["rows"] and all(
+            r["op"].startswith("kernel:") for r in document["rows"]
+        )
+    else:
+        assert "unavailable" in out and document["rows"] == []
+
+
+@pytest.mark.skipif(not kernels.available(), reason="numpy kernels unavailable")
+def test_cli_bench_kernel_floor_fails_on_impossible_bound(capsys):
+    assert main(
+        ["bench", "--rand", "--repeat", "1", "--min-kernel-speedup", "1e9"]
+    ) == 1
+    assert "REGRESSION" in capsys.readouterr().err
+
+
+def test_cli_bench_kernel_floor_fails_on_nan(monkeypatch, capsys):
+    row = {"op": "kernel: stub", "pure_s": 0.0, "kernel_s": 0.0,
+           "speedup": float("nan")}
+    monkeypatch.setattr(
+        "repro.__main__.kernel_comparison", lambda **kwargs: [row]
+    )
+    assert main(["bench", "--rand", "--min-kernel-speedup", "3"]) == 1
+    assert "REGRESSION" in capsys.readouterr().err
+
+
+def test_cli_bench_csr_floor_fails_on_nan(monkeypatch, capsys):
+    nan = float("nan")
+    row = {"backend": "csr", "m": 0, "build_s": 0.0, "probe_s": 0.0,
+           "mem_mb": 0.0, "peak_mb": 0.0,
+           "probe_speedup_vs_bitset": nan, "mem_ratio_vs_bitset": nan}
+    monkeypatch.setattr(
+        "repro.__main__.graphs_comparison", lambda **kwargs: [row]
+    )
+    assert main(["bench", "--graphs", "--min-csr-speedup", "3"]) == 1
+    assert "REGRESSION" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode", [[], ["--rand"], ["--compare-transports"], ["--graphs"]]
+)
+def test_cli_bench_rejects_repeat_below_one(mode, capsys):
+    assert main(["bench", *mode, "--repeat", "0"]) == 2
+    assert "--repeat must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_bench_graphs(tmp_path, capsys):
@@ -300,22 +365,20 @@ def test_cli_smoke_and_large_are_exclusive(capsys):
 
 
 def test_cli_bench_mode_flags_are_exclusive(capsys):
-    assert main(["bench", "--rand", "--profile"]) == 2
+    assert main(["bench", "--rand", "--compare-transports"]) == 2
     assert "mutually exclusive" in capsys.readouterr().err
     assert main(["bench", "--graphs", "--rand"]) == 2
     assert "mutually exclusive" in capsys.readouterr().err
 
 
-def test_cli_bench_rand_and_profile_reject_transport(capsys):
+def test_cli_bench_rand_and_graphs_reject_transport(capsys):
     assert main(["bench", "--rand", "--transport", "count"]) == 2
     assert "--transport conflicts with --rand" in capsys.readouterr().err
-    assert main(["bench", "--profile", "--transport", "strict"]) == 2
-    assert "--transport conflicts with --profile" in capsys.readouterr().err
     assert main(["bench", "--graphs", "--transport", "count"]) == 2
     assert "--transport conflicts with --graphs" in capsys.readouterr().err
 
 
-def test_cli_bench_profile_rejects_infeasible_workload(capsys):
+def test_cli_bench_rejects_infeasible_workload(capsys):
     # n*d odd -> random_regular_graph raises; the CLI must exit 2 cleanly.
-    assert main(["bench", "--profile", "--n", "11", "--degree", "3"]) == 2
+    assert main(["bench", "--n", "11", "--degree", "3"]) == 2
     assert "infeasible workload" in capsys.readouterr().err

@@ -602,18 +602,3 @@ def test_cli_sweep_reps(tmp_path, capsys):
     assert record["reps"] == 2 and len(record["rep_seeds"]) == 2
     assert "metrics" in record
     assert isinstance(record["n"], int)  # constants keep their type
-
-
-def test_cli_min_speedup_requires_rand(capsys):
-    assert main(["bench", "--min-speedup", "1.2"]) == 2
-    assert "--min-speedup" in capsys.readouterr().err
-
-
-def test_cli_min_speedup_guard_passes_at_zero(tmp_path, capsys):
-    # A 0x floor always passes: exercises the guard plumbing cheaply.
-    code = main(
-        ["bench", "--rand", "--n", "48", "--degree", "4", "--repeat", "1",
-         "--min-speedup", "0.0"]
-    )
-    assert code == 0
-    assert "regression guard" in capsys.readouterr().out

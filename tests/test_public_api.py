@@ -19,9 +19,12 @@ PACKAGES = [
     "repro.coloring",
     "repro.comm",
     "repro.core",
+    "repro.dispatch",
+    "repro.engine",
     "repro.graphs",
     "repro.lowerbound",
     "repro.obs",
+    "repro.rand",
 ]
 
 

@@ -21,7 +21,7 @@ from repro.engine import build_partition
 from repro.engine.scenarios import Scenario
 from repro.rand import (
     SMALL_THRESHOLD,
-    LegacyTape,
+    FeistelPermutation,
     SmallPermutation,
     Stream,
     kernels,
@@ -200,6 +200,16 @@ def _perm_streams(k: int) -> list[Stream]:
     return [base.derive(i) for i in range(k)]
 
 
+class _FeistelStream:
+    """A stream-like stub whose ``permutation`` is never a SmallPermutation."""
+
+    def __init__(self, key: int) -> None:
+        self.key = key
+
+    def permutation(self, m: int) -> FeistelPermutation:
+        return FeistelPermutation(self.key, m)
+
+
 def _assert_same_perms(got, want, m):
     assert len(got) == len(want)
     assert [(type(p), p.key) for p in got] == [(type(p), p.key) for p in want]
@@ -262,15 +272,15 @@ class TestBatchPermutations:
         _assert_same_perms(got, want, 40)
         assert stream.counter == reference.counter == 20
 
-    def test_legacy_tape_batch_takes_per_stream_path(self):
+    def test_foreign_stream_batch_takes_per_stream_path(self):
         m, k = 33, 50
-        got = permutations([LegacyTape(i) for i in range(k)], m)
-        want = [LegacyTape(i).permutation(m) for i in range(k)]
-        assert [type(p) for p in got] == [type(p) for p in want]
+        got = permutations([_FeistelStream(i) for i in range(k)], m)
+        want = [_FeistelStream(i).permutation(m) for i in range(k)]
+        assert all(type(p) is FeistelPermutation for p in got)
         assert [p.materialize() for p in got] == [p.materialize() for p in want]
 
     def test_mixed_stream_types_take_per_stream_path(self):
-        streams = _perm_streams(30) + [LegacyTape(1)]
+        streams = _perm_streams(30) + [_FeistelStream(1)]
         got = permutations(streams, 40)
         assert all(p._forward is None for p in got[:-1])  # lazy, never batched
         assert [p.materialize() for p in got[:-1]] == [

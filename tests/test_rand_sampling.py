@@ -8,7 +8,14 @@ gap distribution all have to match Bernoulli(p) statistics.
 
 from __future__ import annotations
 
-from repro.rand import LegacyTape, Stream
+import random
+
+from repro.rand import Stream
+
+
+def _dense_indices(rng: random.Random, m: int, p: float) -> list[int]:
+    """The coin-per-position reference: one Bernoulli(p) draw per index."""
+    return [i for i in range(m) if rng.random() < p]
 
 
 class TestEdgeCases:
@@ -76,9 +83,9 @@ class TestDistributionEquivalence:
     def test_matches_dense_reference_sampler_statistics(self):
         m, p, trials = 300, 0.08, 300
         geo = Stream.from_seed(7)
-        dense = LegacyTape(7)
+        dense = random.Random(7)
         geo_sizes = sorted(len(geo.sample_indices(m, p)) for _ in range(trials))
-        dense_sizes = sorted(len(dense.sample_indices(m, p)) for _ in range(trials))
+        dense_sizes = sorted(len(_dense_indices(dense, m, p)) for _ in range(trials))
         geo_mean = sum(geo_sizes) / trials
         dense_mean = sum(dense_sizes) / trials
         assert abs(geo_mean - dense_mean) < 2.5, (geo_mean, dense_mean)

@@ -23,7 +23,6 @@ from repro.baselines import (
 )
 from repro.core.edge_coloring import run_edge_coloring, run_zero_comm_edge_coloring
 from repro.core.vertex_coloring import run_vertex_coloring
-from repro.engine._legacy_thm1 import run_vertex_coloring_legacy
 from repro.graphs import (
     Graph,
     gnp_random_graph,
@@ -54,13 +53,6 @@ class TestSeedRandEquivalence:
         by_rand = run_vertex_coloring(part, rand=Stream.from_seed(5))
         _same_result(by_seed, by_rand)
         assert by_seed.leftover_size == by_rand.leftover_size
-
-    def test_vertex_coloring_legacy(self, part):
-        by_seed = run_vertex_coloring_legacy(part, seed=5)
-        by_rand = run_vertex_coloring_legacy(part, rand=Stream.from_seed(5))
-        _same_result(by_seed, by_rand)
-        # The legacy fixture must also still match the modern driver.
-        _same_result(by_seed, run_vertex_coloring(part, seed=5))
 
     def test_flin_mittal(self, part):
         by_seed = run_flin_mittal(part, seed=5)
