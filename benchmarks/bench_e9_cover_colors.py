@@ -23,11 +23,11 @@ def build_instance(n: int, rng: random.Random):
     palette = list(range(DELTA, 2 * DELTA - 1))  # Bob's palette at Δ=16
     need = math.ceil(len(palette) / 3)
     vertices = list(range(n))
-    available = {
-        v: set(rng.sample(palette, rng.randint(need, len(palette))))
+    used = {
+        v: set(palette) - set(rng.sample(palette, rng.randint(need, len(palette))))
         for v in vertices
     }
-    return vertices, available, palette
+    return vertices, used, palette
 
 
 def test_e9_cover_message_scaling(benchmark):
@@ -35,10 +35,10 @@ def test_e9_cover_message_scaling(benchmark):
     rows = []
     ns, bits = [], []
     for n in SIZES:
-        vertices, available, palette = build_instance(n, rng)
-        msg = build_cover_message(vertices, available, palette)
+        vertices, used, palette = build_instance(n, rng)
+        msg = build_cover_message(vertices, used, palette)
         assignment = decode_cover_message(vertices, msg)
-        assert all(assignment[v] in available[v] for v in vertices)
+        assert all(assignment[v] not in used[v] for v in vertices)
         rows.append(
             [n, msg.nbits, round(msg.nbits / n, 2), len(msg.colors),
              round(3 * math.log2(n), 1)]
@@ -58,5 +58,5 @@ def test_e9_cover_message_scaling(benchmark):
     # O(log n) cover colors.
     assert all(r[3] <= r[4] + 4 for r in rows)
 
-    vertices, available, palette = build_instance(800, rng)
-    benchmark(lambda: build_cover_message(vertices, available, palette))
+    vertices, used, palette = build_instance(800, rng)
+    benchmark(lambda: build_cover_message(vertices, used, palette))

@@ -9,15 +9,23 @@ Bob's construction: since each low-degree vertex has ``≥ (Δ−1)/3`` of his
 available for ``≥ 1/3`` of any set of low-degree vertices.  Bob greedily
 picks such colors; the ``i``-th pick comes with a bitmap over the still
 uncovered vertices, so total bitmap length is a geometric series ``≤ 3n``.
+
+The builder works from the colors already *used* at each vertex rather
+than the available ones.  A low vertex has degree ``≤ Δ/2``, so it uses
+at most ``Δ/2`` colors; counting the uncovered vertices that use each
+color costs ``O(Σ |used[v]|) = O(|alive| · Δ)`` per pick, and since every
+pick covers a third of the vertices left the whole greedy is
+``O(n · Δ)`` — linear in ``n``, with no per-color ``n``-bit masks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections import Counter
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from ..comm.bits import gamma_cost, uint_cost
-from ..graphs.bitset import iter_bits
 
 __all__ = ["CoverMessage", "build_cover_message", "decode_cover_message"]
 
@@ -38,46 +46,38 @@ class CoverMessage:
 
 def build_cover_message(
     low_vertices: Sequence[int],
-    available: Mapping[int, set[int]],
+    used: Mapping[int, Collection[int]] | Sequence[Collection[int]],
     palette: Sequence[int],
 ) -> CoverMessage:
-    """Greedy third-covering of the low-degree vertices' available colors.
+    """Greedy third-covering of the low-degree vertices by palette colors.
 
-    ``available[v]`` must be non-empty for every low vertex (guaranteed by
-    the degree bound, Lemma 5.4).  Raises ``ValueError`` if some vertex has
-    no available color — a protocol-logic bug upstream.
+    ``used[v]`` holds the colors already on ``v``'s edges; a palette color
+    is available at ``v`` when it is not in ``used[v]`` (colors outside
+    the palette are ignored).  Each pick takes the first palette color
+    available at the most uncovered vertices.  Every low vertex must have
+    an available palette color (guaranteed by the degree bound, Lemma
+    5.4); otherwise ``ValueError`` is raised — a protocol-logic bug
+    upstream.
     """
     base = sorted(low_vertices)
-    for v in base:
-        if not available[v]:
+    palette_set = set(palette)
+    alive = [set(used[v]) for v in base]
+    for v, blocked in zip(base, alive):
+        if palette_set <= blocked:
             raise ValueError(f"vertex {v} has no available palette color")
-    # One bitmask per palette color over positions of ``base``: the greedy
-    # loop below then runs on word-parallel AND + popcount instead of
-    # per-vertex membership tests.
-    covers: dict[int, int] = {color: 0 for color in palette}
-    for pos, v in enumerate(base):
-        bit = 1 << pos
-        for color in available[v]:
-            if color in covers:
-                covers[color] |= bit
     colors: list[int] = []
     bitmaps: list[tuple[bool, ...]] = []
     nbits = 0
-    alive = (1 << len(base)) - 1
     while alive:
-        best_color, best_count = None, -1
-        for color in palette:
-            count = (covers[color] & alive).bit_count()
-            if count > best_count:
-                best_color, best_count = color, count
-        if best_color is None or best_count == 0:
-            raise ValueError("no palette color covers any uncovered vertex")
-        hits = covers[best_color]
-        flags = tuple(bool((hits >> pos) & 1) for pos in iter_bits(alive))
+        # The first palette color with the fewest uncovered vertices using
+        # it covers the most: ``count[c] = |alive| − misses[c]``.
+        misses = Counter(chain.from_iterable(alive))
+        best_color = min(palette, key=lambda c: misses[c])
+        flags = tuple(best_color not in blocked for blocked in alive)
         colors.append(best_color)
         bitmaps.append(flags)
         nbits += uint_cost(max(palette)) + len(flags)
-        alive &= ~hits
+        alive = [blocked for blocked in alive if best_color in blocked]
     nbits += gamma_cost(len(colors) + 1)  # announce the number of rounds
     return CoverMessage(tuple(colors), tuple(bitmaps), nbits)
 

@@ -285,6 +285,13 @@ def edge_coloring_proto(ch: Channel, role: str, own_graph: Graph, delta: int):
     for u, v in matching:
         remaining.remove_edge(u, v)
     colors = color_with_own_palette(remaining, own)
+    # The colors on each vertex's edges, from one pass over the coloring;
+    # matching edges append theirs once colored, so the same lists serve
+    # the cover message (round 1) and the availability masks (round 2).
+    used: list[list[int]] = [[] for _ in range(n)]
+    for (u, v), c in colors.items():
+        used[u].append(c)
+        used[v].append(c)
 
     covered = [False] * n
     for u, v in matching:
@@ -292,10 +299,7 @@ def edge_coloring_proto(ch: Channel, role: str, own_graph: Graph, delta: int):
         covered[v] = True
     over_half = [2 * own_graph.degree(v) > delta for v in range(n)]
     low_vertices = [v for v in range(n) if not over_half[v]]
-    available = {
-        v: set(own) - _used_colors_at(colors, own_graph, v) for v in low_vertices
-    }
-    cover_msg = build_cover_message(low_vertices, available, own)
+    cover_msg = build_cover_message(low_vertices, used, own)
 
     # --- round 1: bitmaps + cover message --------------------------------
     max_own_color = max(own)
@@ -319,15 +323,17 @@ def edge_coloring_proto(ch: Channel, role: str, own_graph: Graph, delta: int):
     for u, v in matching:
         hub, other = (u, v) if u in heavy else (v, u)
         if not peer_covered[other] or peer_over_half[other]:
-            colors[canonical_edge(u, v)] = special
+            c = special
         else:
-            colors[canonical_edge(u, v)] = peer_color_for[other]
+            c = peer_color_for[other]
+        colors[canonical_edge(u, v)] = c
+        used[u].append(c)
+        used[v].append(c)
 
     # --- round 2: first-seven availability of the own palette ------------
     first_seven = own[:7]
-    used_at = [_used_colors_at(colors, own_graph, v) for v in range(n)]
     own_masks = tuple(
-        tuple(c not in used_at[v] for c in first_seven) for v in range(n)
+        tuple(c not in used_v for c in first_seven) for used_v in map(set, used)
     )
     peer_masks = yield from ch.send(
         bitmap_cost(7 * n), own_masks, codec=_nested_bitmap_codec
@@ -335,9 +341,10 @@ def edge_coloring_proto(ch: Channel, role: str, own_graph: Graph, delta: int):
     peer_first_seven = peer[:7]
 
     # --- Lemma 5.5: greedy-color the deferred subgraph -------------------
+    peer_set = set(peer)
     peer_colors_used_by_me: dict[int, set[int]] = {}
     for (u, v), c in colors.items():
-        if c in set(peer):
+        if c in peer_set:
             peer_colors_used_by_me.setdefault(u, set()).add(c)
             peer_colors_used_by_me.setdefault(v, set()).add(c)
     for u, v in deferred:
@@ -358,21 +365,6 @@ def edge_coloring_proto(ch: Channel, role: str, own_graph: Graph, delta: int):
         peer_colors_used_by_me.setdefault(v, set()).add(choice)
 
     return colors
-
-
-def _used_colors_at(colors: dict[Edge, int], graph: Graph, v: int) -> set[int]:
-    """The colors of the colored edges of ``graph`` incident to ``v``.
-
-    One neighborhood scan answers every per-color availability query at
-    ``v`` — the per-(vertex, color) probing this replaces rescanned the
-    neighborhood ``Θ(Δ)`` times per vertex.
-    """
-    used = set()
-    for u in graph.iter_neighbors(v):
-        color = colors.get(canonical_edge(u, v))
-        if color is not None:
-            used.add(color)
-    return used
 
 
 def edge_coloring_party(role: str, own_graph: Graph, delta: int):

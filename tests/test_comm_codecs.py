@@ -81,11 +81,11 @@ class TestCoverMessageCodec:
         palette = list(range(8, 20))
         for _ in range(25):
             vertices = rng.sample(range(60), rng.randint(1, 30))
-            available = {
-                v: set(rng.sample(palette, rng.randint(4, len(palette))))
+            used = {
+                v: set(palette) - set(rng.sample(palette, rng.randint(4, len(palette))))
                 for v in vertices
             }
-            msg = build_cover_message(vertices, available, palette)
+            msg = build_cover_message(vertices, used, palette)
             bits = encode_cover_payload(msg.colors, msg.bitmaps, max(palette))
             assert len(bits) == msg.nbits
             colors, bitmaps = decode_cover_payload(

@@ -85,8 +85,8 @@ class TestCoverMessageTampering:
     def test_truncated_message_detected(self, rng):
         palette = [1, 2, 3, 4, 5]
         vertices = list(range(12))
-        available = {v: set(palette) for v in vertices}
-        msg = build_cover_message(vertices, available, palette)
+        used = {v: set() for v in vertices}
+        msg = build_cover_message(vertices, used, palette)
         from repro.core import CoverMessage
 
         truncated = CoverMessage(msg.colors[:-1], msg.bitmaps[:-1], msg.nbits)
@@ -102,8 +102,8 @@ class TestCoverMessageTampering:
     def test_wrong_audience_detected(self, rng):
         palette = [1, 2, 3]
         vertices = [0, 1, 2]
-        available = {v: {1, 2, 3} for v in vertices}
-        msg = build_cover_message(vertices, available, palette)
+        used = {v: set() for v in vertices}
+        msg = build_cover_message(vertices, used, palette)
         with pytest.raises(ValueError):
             decode_cover_message([0, 1], msg)
 
