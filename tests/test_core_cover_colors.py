@@ -163,7 +163,7 @@ class TestMatchesBigIntReference:
             assert_matches_reference([], {}, palette)
 
     def test_used_as_sequence_with_repeats(self, rng):
-        # The edge driver passes one list per vertex, indexed by vertex,
+        # edge_coloring_proto passes one list per vertex, indexed by vertex,
         # which may repeat a color (two edges sharing a non-palette color).
         palette = list(range(8, 20))
         used = [
