@@ -9,7 +9,7 @@ Subcommands:
     social graphs on the CSR backend); ``--filter`` narrows any grid
     by name substring;
     ``--backend`` pins or duplicates the graph backend; ``--transport``
-    pins the comm transport (lockstep / count / strict, or ``all``).
+    pins the comm transport (count / strict, or ``all``).
     ``--shard k/N`` runs only this machine's stable-hash shard of the
     grid; ``--reps R`` replicates every scenario under derived rep seeds
     with mean/stddev/CI aggregation; ``--resume`` replays
@@ -37,14 +37,13 @@ Subcommands:
 ``bench``
     Compare the set-based and bitset graph backends on the shared
     medium benchmark workload (kernels + end-to-end protocols), under
-    ``--transport``; with ``--compare-transports``, time the protocols
-    across all three comm transports instead, with the
-    ``--max-obs-overhead`` CI ceiling; with ``--rand``, time the numpy
-    kernels of ``repro.rand`` against the pure-Python paths, with the
-    ``--min-kernel-speedup`` CI floor; with ``--graphs``, compare the
-    graph *representations* (set / bitset / csr) on a shared power-law
-    edge list — build time, probe throughput, and memory, with the
-    ``--min-csr-speedup`` CI floor.  ``--json`` writes the rows to a
+    ``--transport``; with ``--max-obs-overhead``, time Theorem 1 with
+    observability off and on instead, under that CI ceiling; with
+    ``--rand``, time the numpy kernels of ``repro.rand`` against the
+    pure-Python paths, with the ``--min-kernel-speedup`` CI floor; with
+    ``--graphs``, compare the graph *representations* (set / bitset /
+    csr) on a shared power-law edge list — build time, probe
+    throughput, and memory, with the ``--min-csr-speedup`` CI floor.  ``--json`` writes the rows to a
     machine-readable file.
 
 ``trace``
@@ -85,12 +84,12 @@ from .engine import (
     large_scenarios,
     load_shard_document,
     merge_documents,
+    obs_overhead,
     parse_shard_spec,
     results_table,
     shard_scenarios,
     smoke_scenarios,
     sweep,
-    transport_comparison,
     write_results,
 )
 from .obs import (
@@ -104,7 +103,7 @@ from .obs import (
 
 __all__ = ["main"]
 
-_TRANSPORT_CHOICES = ("lockstep", "count", "strict")
+_TRANSPORT_CHOICES = ("count", "strict")
 _BACKEND_CHOICES = ("set", "bitset", "csr", "both")
 
 
@@ -179,8 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--transport",
         choices=_TRANSPORT_CHOICES + ("all",),
-        default="lockstep",
-        help="comm transport for every scenario (default: lockstep)",
+        default="count",
+        help="comm transport for every scenario (default: count)",
     )
     sweep_p.add_argument(
         "--jobs",
@@ -269,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     merge_p.add_argument(
         "--transport",
         choices=_TRANSPORT_CHOICES + ("all",),
-        default="lockstep",
+        default="count",
     )
     merge_p.add_argument(
         "--check-complete",
@@ -315,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dispatch_p.add_argument(
         "--transport",
         choices=_TRANSPORT_CHOICES + ("all",),
-        default="lockstep",
+        default="count",
     )
     dispatch_p.add_argument(
         "--workers",
@@ -423,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(dispatch_p)
 
     bench_p = sub.add_parser(
-        "bench", help="compare graph backends (or comm transports)"
+        "bench", help="compare graph backends (or time obs, kernels, graphs)"
     )
     bench_p.add_argument(
         "--n",
@@ -437,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "degree (default 8 for the backend comparison, 10 — the E4 "
-            "workload — with --compare-transports, 24 — the power-law "
+            "workload — with --max-obs-overhead, 24 — the power-law "
             "cap — with --graphs)"
         ),
     )
@@ -448,16 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument(
         "--transport",
         choices=_TRANSPORT_CHOICES,
-        default="lockstep",
-        help="comm transport for the protocol rows (default: lockstep)",
-    )
-    bench_p.add_argument(
-        "--compare-transports",
-        action="store_true",
-        help=(
-            "time the protocols across all comm transports on the E4 "
-            "edge-scaling workload instead of comparing graph backends"
-        ),
+        default="count",
+        help="comm transport for the protocol rows (default: count)",
     )
     bench_p.add_argument(
         "--rand",
@@ -511,9 +502,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PCT",
         help=(
-            "(with --compare-transports) fail (exit 1) if running the "
-            "Theorem 1 count path with observability enabled costs more "
-            "than PCT%% over the disabled path — the obs overhead ceiling"
+            "time Theorem 1 on the E4 workload with observability off "
+            "and on instead of comparing graph backends, and fail "
+            "(exit 1) if the enabled run costs more than PCT%% over the "
+            "disabled one — the obs overhead ceiling"
         ),
     )
     _add_obs_flags(bench_p)
@@ -558,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
     list_p.add_argument(
         "--transport",
         choices=_TRANSPORT_CHOICES + ("all",),
-        default="lockstep",
+        default="count",
     )
     list_p.add_argument(
         "--shard",
@@ -818,10 +810,11 @@ def _floor_holds(value: float, floor: float) -> bool:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    exclusive = [args.compare_transports, args.rand, args.graphs]
+    obs_mode = args.max_obs_overhead is not None
+    exclusive = [obs_mode, args.rand, args.graphs]
     if sum(exclusive) > 1:
         print(
-            "error: --compare-transports, --rand, and --graphs "
+            "error: --max-obs-overhead, --rand, and --graphs "
             "are mutually exclusive",
             file=sys.stderr,
         )
@@ -844,18 +837,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.max_obs_overhead is not None and not args.compare_transports:
-        print(
-            "error: --max-obs-overhead only applies to "
-            "--compare-transports (the observability overhead ceiling)",
-            file=sys.stderr,
+    if (obs_mode or args.rand or args.graphs) and args.transport != "count":
+        mode = (
+            "--max-obs-overhead" if obs_mode else "--rand" if args.rand else "--graphs"
         )
-        return 2
-    if (args.rand or args.graphs) and args.transport != "lockstep":
-        mode = "--rand" if args.rand else "--graphs"
         print(
             f"error: --transport conflicts with {mode} "
-            "(these modes never touch the comm layer's transports)",
+            "(these modes never pick the comm transport)",
             file=sys.stderr,
         )
         return 2
@@ -967,79 +955,44 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 )
         return 0
 
-    if args.compare_transports:
-        if args.transport != "lockstep":
-            print(
-                "error: --transport conflicts with --compare-transports "
-                "(the comparison always runs every transport)",
-                file=sys.stderr,
-            )
-            return 2
+    if obs_mode:
         degree = args.degree if args.degree is not None else 10
         try:
             with _obs_context(args):
-                rows = transport_comparison(
-                    n=n, d=degree, seed=args.seed, repeat=args.repeat
-                )
+                row = obs_overhead(n=n, d=degree, seed=args.seed, repeat=args.repeat)
         except ValueError as exc:
             print(f"error: infeasible workload: {exc}", file=sys.stderr)
             return 2
-        table_rows = [
-            [
-                r["protocol"],
-                f"{r['lockstep_s'] * 1e3:.3f}",
-                f"{r['count_s'] * 1e3:.3f}",
-                f"{r['strict_s'] * 1e3:.3f}",
-                f"{r['count_speedup']:.2f}x",
-                "yes" if r["transcripts_equal"] else "NO",
-            ]
-            for r in rows
-        ]
+        overhead = row["obs_overhead"] * 100.0
         print(
             format_table(
-                [
-                    "protocol",
-                    "lockstep (ms)",
-                    "count (ms)",
-                    "strict (ms)",
-                    "count speedup",
-                    "identical",
-                ],
-                table_rows,
+                ["protocol", "obs off (ms)", "obs on (ms)", "overhead"],
+                [[
+                    row["protocol"],
+                    f"{row['count_s'] * 1e3:.3f}",
+                    f"{row['obs_enabled_s'] * 1e3:.3f}",
+                    f"{overhead:.1f}%",
+                ]],
                 title=(
-                    f"comm transport comparison — E4 workload "
-                    f"(n={n}, d={degree}, seed={args.seed})"
+                    f"observability overhead — E4 workload "
+                    f"(n={n}, d={degree}, seed={args.seed}, transport=count)"
                 ),
             )
         )
         if args.json:
-            _write_bench_json(rows, args.json, "transport_comparison")
-        if not all(r["transcripts_equal"] for r in rows):
-            print("transports produced different transcripts!", file=sys.stderr)
-            return 1
-        if args.max_obs_overhead is not None:
-            observed = next((r for r in rows if "obs_overhead" in r), None)
-            if observed is None:
-                print(
-                    "error: no Theorem 1 observability row to guard",
-                    file=sys.stderr,
-                )
-                return 2
-            overhead = observed["obs_overhead"] * 100.0
-            if not (
-                math.isfinite(overhead) and overhead <= args.max_obs_overhead
-            ):
-                print(
-                    f"REGRESSION: enabled-observer overhead {overhead:.1f}% "
-                    f"on Theorem 1 exceeds the "
-                    f"{args.max_obs_overhead:.1f}% ceiling",
-                    file=sys.stderr,
-                )
-                return 1
+            _write_bench_json([row], args.json, "obs_overhead")
+        if not (math.isfinite(overhead) and overhead <= args.max_obs_overhead):
             print(
-                f"obs overhead guard: {overhead:.1f}% <= "
-                f"{args.max_obs_overhead:.1f}% ceiling"
+                f"REGRESSION: enabled-observer overhead {overhead:.1f}% "
+                f"on Theorem 1 exceeds the "
+                f"{args.max_obs_overhead:.1f}% ceiling",
+                file=sys.stderr,
             )
+            return 1
+        print(
+            f"obs overhead guard: {overhead:.1f}% <= "
+            f"{args.max_obs_overhead:.1f}% ceiling"
+        )
         return 0
 
     degree = args.degree if args.degree is not None else 8

@@ -10,7 +10,7 @@ which is exactly the gap Theorems 1/2 close.
 
 from __future__ import annotations
 
-from ..comm.transport import Channel, Transport, as_party, resolve_transport
+from ..comm.transport import Channel, Transport, resolve_transport
 from ..rand import Stream
 from ..core.slack import slack_find_proto
 from ..graphs.graph import Graph
@@ -18,7 +18,6 @@ from ..graphs.partition import EdgePartition
 from .base import BaselineResult
 
 __all__ = [
-    "greedy_binary_search_party",
     "greedy_binary_search_proto",
     "run_greedy_binary_search",
 ]
@@ -35,11 +34,6 @@ def greedy_binary_search_proto(ch: Channel, own_graph: Graph, num_colors: int):
         position = yield from slack_find_proto(ch, ground, own_used)
         colors[v] = position + 1
     return colors
-
-
-def greedy_binary_search_party(own_graph: Graph, num_colors: int):
-    """Legacy generator-API adapter for :func:`greedy_binary_search_proto`."""
-    return as_party(greedy_binary_search_proto, own_graph, num_colors)
 
 
 def run_greedy_binary_search(

@@ -21,7 +21,7 @@ import random
 
 from ..comm.bits import gamma_cost, uint_cost
 from ..comm.codecs import edge_list_codec
-from ..comm.transport import Channel, Transport, as_party, resolve_transport
+from ..comm.transport import Channel, Transport, resolve_transport
 from ..rand import Stream, derived_random, permutations
 from ..coloring.greedy import greedy_vertex_coloring
 from ..coloring.list_coloring import solve_list_coloring
@@ -31,7 +31,6 @@ from .base import BaselineResult
 
 __all__ = [
     "ack_list_size",
-    "one_round_sparsify_party",
     "one_round_sparsify_proto",
     "run_one_round_sparsify",
 ]
@@ -85,16 +84,6 @@ def one_round_sparsify_proto(
     )
     full = Graph(n, list(edges) + list(peer_edges))
     return greedy_vertex_coloring(full, num_colors=num_colors)
-
-
-def one_round_sparsify_party(
-    own_graph: Graph,
-    num_colors: int,
-    pub: Stream,
-    solver_rng: random.Random,
-):
-    """Legacy generator-API adapter for :func:`one_round_sparsify_proto`."""
-    return as_party(one_round_sparsify_proto, own_graph, num_colors, pub, solver_rng)
 
 
 def run_one_round_sparsify(

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from ..comm.bits import gamma_cost, uint_cost
 from ..comm.codecs import edge_list_codec
-from ..comm.transport import Channel, Transport, as_party, resolve_transport
+from ..comm.transport import Channel, Transport, resolve_transport
 from ..rand import Stream
 from ..coloring.vizing import vizing_edge_coloring
 from ..graphs.graph import Graph, canonical_edge
 from ..graphs.partition import EdgePartition
 from .base import BaselineResult
 
-__all__ = ["run_vizing_gather", "vizing_gather_party", "vizing_gather_proto"]
+__all__ = ["run_vizing_gather", "vizing_gather_proto"]
 
 
 def vizing_gather_proto(ch: Channel, own_graph: Graph, num_colors: int):
@@ -44,11 +44,6 @@ def vizing_gather_proto(ch: Channel, own_graph: Graph, num_colors: int):
         canonical_edge(u, v): full_coloring[canonical_edge(u, v)]
         for u, v in edges
     }
-
-
-def vizing_gather_party(own_graph: Graph, num_colors: int):
-    """Legacy generator-API adapter for :func:`vizing_gather_proto`."""
-    return as_party(vizing_gather_proto, own_graph, num_colors)
 
 
 def run_vizing_gather(

@@ -6,11 +6,11 @@ simultaneous-exchange rounds — implemented as a deterministic lockstep
 simulator with exact bit accounting.
 
 Protocols talk to the substrate through the :class:`Channel` API
-(``send``/``exchange``, ``phase`` scoping, keyed ``parallel``
-sub-channels) backed by one of three pluggable transports: ``lockstep``
-(reference semantics), ``count`` (no payload wrappers or round logs — the
-fast path for large sweeps), and ``strict`` (every payload encoded through
-the codecs, declared sizes verified on every message).
+(``send``/``post``, ``phase`` scoping, keyed ``parallel`` sub-protocols)
+and run on one wire under two transports: ``count`` (the default: bare
+payloads, a bit tally, no round log) and ``strict`` (the same wire with
+every payload encoded through the codecs, declared sizes verified on every
+message, and the per-round log kept).
 
 The randomness substrate itself lives in :mod:`repro.rand` (counter-based
 splittable streams); ``repro.comm.randomness`` keeps only the model-level
@@ -41,41 +41,29 @@ from .bits import (
     uint_width,
 )
 from .ledger import PhaseStats, Transcript
-from .messages import BatchMsg, Msg
-from .parallel import compose_parallel
 from .randomness import newman_overhead_bits
 from .transport import (
     TRANSPORTS,
     Channel,
-    CountOnlyTransport,
-    LockstepTransport,
     ProtocolDesyncError,
     StrictTransport,
     Transport,
-    as_party,
     resolve_transport,
 )
-from .runner import run_protocol
 
 __all__ = [
-    "BatchMsg",
     "BitReader",
     "BitWriter",
     "Channel",
     "CodecMismatchError",
-    "CountOnlyTransport",
-    "LockstepTransport",
-    "Msg",
     "PhaseStats",
     "ProtocolDesyncError",
     "StrictTransport",
     "TRANSPORTS",
     "Transcript",
     "Transport",
-    "as_party",
     "bit_length",
     "bitmap_cost",
-    "compose_parallel",
     "decode_bounded_count",
     "decode_color_vector",
     "decode_cover_payload",
@@ -89,7 +77,6 @@ __all__ = [
     "gamma_cost",
     "newman_overhead_bits",
     "resolve_transport",
-    "run_protocol",
     "uint_cost",
     "uint_width",
     "verify_declared_cost",

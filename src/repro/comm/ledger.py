@@ -38,8 +38,8 @@ class Transcript:
     ``record_log=False`` disables the per-round log (the raw material for
     round-profile experiments) while keeping every aggregate — totals,
     rounds, messages, per-phase stats — bit-for-bit identical.  The
-    count-only transport uses it to skip the per-round list append on
-    large sweeps.
+    ``count`` transport uses it to skip the per-round list append on
+    large sweeps; ``strict`` keeps the log.
     """
 
     def __init__(self, record_log: bool = True) -> None:
@@ -94,8 +94,8 @@ class Transcript:
         """Record one simultaneous exchange round.
 
         ``phases`` names additional phases (beyond the ones opened with
-        :meth:`phase`) to attribute this round to — the transports pass
-        the parties' channel-level phase stack here.  A name appearing in
+        :meth:`phase`) to attribute this round to (the parties'
+        channel-level phase stack, say).  A name appearing in
         both sources is attributed once.
         """
         if bits_a_to_b < 0 or bits_b_to_a < 0:
@@ -147,11 +147,12 @@ class Transcript:
     ) -> None:
         """Record ``rounds`` exchange rounds in bulk.
 
-        The count-only transport accumulates contiguous rounds sharing one
+        The transport's run loop accumulates contiguous rounds sharing one
         phase stack and flushes them here, producing aggregates identical
         to ``rounds`` individual :meth:`record_round` calls (``messages``
         must be the number of non-empty directed messages in the segment).
-        The per-round log is never reconstructed.
+        The per-round log is not touched: the run loop appends to it
+        directly when ``record_log`` is on.
         """
         if bits_a_to_b < 0 or bits_b_to_a < 0 or rounds < 0 or messages < 0:
             raise ValueError("segment totals must be non-negative")
@@ -186,9 +187,9 @@ class Transcript:
         """sha256 hex digest of :meth:`canonical`.
 
         Without the log this is transport-invariant (the parity contract:
-        lockstep, count, and strict must all produce it bit-for-bit); with
-        the log it additionally pins the round-by-round schedule, which
-        only log-keeping transports can reproduce.
+        count and strict must both produce it bit-for-bit); with the log
+        it additionally pins the round-by-round schedule, which only a
+        log-keeping transcript (``strict``'s) can reproduce.
         """
         return hashlib.sha256(self.canonical(with_log=with_log)).hexdigest()
 

@@ -1,12 +1,11 @@
 """Gated hot-path counters for the comm layer.
 
-The comm hot loops (``intern_msg`` on the lockstep wire, the pooled
-``parallel`` driver on the count wire) are the paths the bench guards
-protect, so they cannot afford observer indirection — not even a method
-call — per event.  This module is the compromise: a handful of bare
-module-level integers behind a single ``enabled`` flag.  The
-instrumented sites read ``telemetry.enabled`` (one attribute load and a
-branch) and, only when observability is on, bump the counters in place.
+The comm hot loop (the pooled ``parallel`` driver) is a path the bench
+guards protect, so it cannot afford observer indirection — not even a
+method call — per event.  This module is the compromise: a couple of
+bare module-level integers behind a single ``enabled`` flag.  The
+instrumented site reads ``telemetry.enabled`` (one attribute load and a
+branch) and, only when observability is on, bumps the counters in place.
 Disabled, the added cost is that one predictable branch; nothing is
 allocated either way.
 
@@ -26,13 +25,9 @@ from __future__ import annotations
 
 __all__ = ["disable", "enable", "enabled", "reset", "snapshot"]
 
-#: Master switch read inline by the instrumented comm sites.
+#: Master switch read inline by the instrumented comm site.
 enabled = False
 
-#: ``intern_msg`` calls served from the shared intern tables.
-intern_hits = 0
-#: ``intern_msg`` calls that fell back to a fresh ``Msg`` allocation.
-intern_misses = 0
 #: ``parallel`` batch buffers checked out of a channel's freelist.
 pool_reused = 0
 #: ``parallel`` batch buffers freshly allocated (freelist empty/short).
@@ -53,22 +48,11 @@ def disable() -> None:
 
 def reset() -> None:
     """Zero every counter (does not touch ``enabled``)."""
-    global intern_hits, intern_misses, pool_reused, pool_allocated
-    intern_hits = 0
-    intern_misses = 0
+    global pool_reused, pool_allocated
     pool_reused = 0
     pool_allocated = 0
 
 
 def snapshot() -> dict[str, float]:
-    """The counters as a plain dict, plus the derived intern hit rate."""
-    served = intern_hits + intern_misses
-    data: dict[str, float] = {
-        "intern_hits": intern_hits,
-        "intern_misses": intern_misses,
-        "pool_reused": pool_reused,
-        "pool_allocated": pool_allocated,
-    }
-    if served:
-        data["intern_hit_rate"] = round(intern_hits / served, 6)
-    return data
+    """The counters as a plain dict."""
+    return {"pool_reused": pool_reused, "pool_allocated": pool_allocated}

@@ -20,11 +20,11 @@ from bisect import bisect_left
 from collections.abc import Set
 
 from ..comm.bits import uint_cost
-from ..comm.transport import Channel, as_party
+from ..comm.transport import Channel
 from ..rand import Permutation, Stream
 from .slack import SAMPLING_CONSTANT, randomized_slack_proto
 
-__all__ = ["color_sample_party", "color_sample_proto"]
+__all__ = ["color_sample_proto"]
 
 
 def color_sample_proto(
@@ -81,12 +81,11 @@ def color_sample_proto(
         # bit-for-bit those of :func:`randomized_slack_proto`.
         m = num_colors
         post = ch.post
-        unwrap = ch.unwrap
         own_count = len(own_positions)  # positions always lie in [0, m)
         width = uint_cost(m)
         k_tilde = m
         while True:
-            peer_count = unwrap((yield post(width, own_count)))
+            peer_count = yield post(width, own_count)
             if own_count + peer_count < m:
                 break
             if k_tilde == 1:
@@ -100,7 +99,7 @@ def color_sample_proto(
         while hi - lo > 1:
             mid = (lo + hi) // 2
             own_left = bisect_left(own_pos, mid) - bisect_left(own_pos, lo)
-            peer_left = unwrap((yield post((mid - lo).bit_length(), own_left)))
+            peer_left = yield post((mid - lo).bit_length(), own_left)
             if (mid - lo) - own_left - peer_left >= 1:
                 hi = mid
             else:
@@ -111,13 +110,3 @@ def color_sample_proto(
         ch, num_colors, own_positions, pub, constant=constant
     )
     return perm[position] + 1
-
-
-def color_sample_party(
-    num_colors: int,
-    own_used: Set[int],
-    pub: Stream,
-    sampling_constant: int | None = None,
-):
-    """Legacy generator-API adapter for :func:`color_sample_proto`."""
-    return as_party(color_sample_proto, num_colors, own_used, pub, sampling_constant)

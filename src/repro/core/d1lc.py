@@ -35,7 +35,7 @@ from ..comm.codecs import (
     encode_edge_list,
     encode_flag_bitmap,
 )
-from ..comm.transport import Channel, as_party
+from ..comm.transport import Channel
 from ..rand import Stream, permutations
 from ..coloring.greedy import greedy_d1lc_coloring
 from ..coloring.list_coloring import solve_list_coloring
@@ -43,7 +43,7 @@ from ..graphs.graph import Graph
 from .color_sample import color_sample_proto
 from .probes import surviving_edges
 
-__all__ = ["d1lc_party", "d1lc_proto", "sample_list_size", "sparsity_threshold"]
+__all__ = ["d1lc_proto", "sample_list_size", "sparsity_threshold"]
 
 #: Multiplier on ``log² n`` for the per-vertex sample-list size (Prop. 3.2).
 SAMPLE_FACTOR = 2.0
@@ -199,19 +199,6 @@ def d1lc_proto(
         codec=lambda p: encode_color_vector(p, m),
     )
     return colors
-
-
-def d1lc_party(
-    role: str,
-    own_graph: Graph,
-    own_lists: Mapping[int, set[int]],
-    active: Sequence[int],
-    num_colors: int,
-    pub: Stream,
-    rng: random.Random,
-):
-    """Legacy generator-API adapter for :func:`d1lc_proto`."""
-    return as_party(d1lc_proto, role, own_graph, own_lists, active, num_colors, pub, rng)
 
 
 def _pack_colors(colors: dict[int, int] | None, active: Sequence[int]) -> tuple | None:

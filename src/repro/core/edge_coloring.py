@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from ..comm.bits import bitmap_cost
 from ..comm.codecs import encode_cover_payload, encode_flag_bitmap
 from ..comm.ledger import Transcript
-from ..comm.transport import Channel, Transport, as_party, resolve_transport
+from ..comm.transport import Channel, Transport, resolve_transport
 from ..rand import Stream
 from ..coloring.fournier import fournier_edge_coloring
 from ..coloring.greedy import greedy_edge_coloring
@@ -48,7 +48,6 @@ from .cover_colors import build_cover_message, decode_cover_message
 __all__ = [
     "EdgeColoringResult",
     "SMALL_DELTA_THRESHOLD",
-    "edge_coloring_party",
     "edge_coloring_proto",
     "run_edge_coloring",
     "run_zero_comm_edge_coloring",
@@ -365,11 +364,6 @@ def edge_coloring_proto(ch: Channel, role: str, own_graph: Graph, delta: int):
         peer_colors_used_by_me.setdefault(v, set()).add(choice)
 
     return colors
-
-
-def edge_coloring_party(role: str, own_graph: Graph, delta: int):
-    """Legacy generator-API adapter for :func:`edge_coloring_proto`."""
-    return as_party(edge_coloring_proto, role, own_graph, delta)
 
 
 def run_edge_coloring(

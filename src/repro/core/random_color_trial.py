@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from ..comm.bits import bitmap_cost
-from ..comm.transport import Channel, as_party
+from ..comm.transport import Channel
 from ..rand import Stream, permutations
 from ..graphs.graph import Graph
 from .color_sample import color_sample_proto
@@ -29,7 +29,6 @@ from .probes import confirmation_bits
 
 __all__ = [
     "paper_iteration_count",
-    "random_color_trial_party",
     "random_color_trial_proto",
 ]
 
@@ -117,21 +116,3 @@ def random_color_trial_proto(
         active = [v for v in active if v not in awake_set or v in awake_survivors]
 
     return colors, active
-
-
-def random_color_trial_party(
-    own_graph: Graph,
-    num_colors: int,
-    pub: Stream,
-    max_iterations: int | None = None,
-    active_history: list[int] | None = None,
-):
-    """Legacy generator-API adapter for :func:`random_color_trial_proto`."""
-    return as_party(
-        random_color_trial_proto,
-        own_graph,
-        num_colors,
-        pub,
-        max_iterations,
-        active_history,
-    )

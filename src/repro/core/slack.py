@@ -13,8 +13,7 @@ outside ``X ∪ Y``:
 Both are written as *single* channel protocols usable by either party:
 each round both parties send the count of their own set inside the probed
 interval, so Alice's and Bob's programs are literally identical.  The
-element found is common knowledge by construction.  ``slack_find_party``
-and ``randomized_slack_party`` are the legacy generator-API adapters.
+element found is common knowledge by construction.
 """
 
 from __future__ import annotations
@@ -23,13 +22,11 @@ from bisect import bisect_left
 from collections.abc import Sequence, Set
 
 from ..comm.bits import uint_cost
-from ..comm.transport import Channel, as_party
+from ..comm.transport import Channel
 from ..rand import Stream
 
 __all__ = [
-    "randomized_slack_party",
     "randomized_slack_proto",
-    "slack_find_party",
     "slack_find_proto",
 ]
 
@@ -64,12 +61,11 @@ def slack_find_proto(
     else:
         own_pos = sorted(i for i, e in enumerate(ground) if e in own)
     # The bisection loop is the hottest send site in the repo, so it speaks
-    # the raw post/unwrap idiom: no delegate generator per probe.
+    # the raw post idiom: no delegate generator per probe.
     post = ch.post
-    unwrap = ch.unwrap
     if own_count is None or peer_count is None:
         own_count = len(own_pos)
-        peer_count = unwrap((yield post(uint_cost(len(ground)), own_count)))
+        peer_count = yield post(uint_cost(len(ground)), own_count)
     slack = (hi - lo) - own_count - peer_count
     if slack < 1:
         raise ValueError("no guaranteed free element: |I| - a - b < 1")
@@ -79,7 +75,7 @@ def slack_find_proto(
         own_left = bisect_left(own_pos, mid) - bisect_left(own_pos, lo)
         # (mid - lo).bit_length() == uint_cost(mid - lo) for positive widths;
         # inlined because this is the hottest declared-cost site in the repo.
-        peer_left = unwrap((yield post((mid - lo).bit_length(), own_left)))
+        peer_left = yield post((mid - lo).bit_length(), own_left)
         left_slack = (mid - lo) - own_left - peer_left
         if left_slack >= 1:
             hi = mid
@@ -88,16 +84,6 @@ def slack_find_proto(
             lo = mid
             slack = slack - left_slack
     return ground[lo]
-
-
-def slack_find_party(
-    ground: Sequence[int],
-    own: Set[int],
-    own_count: int | None = None,
-    peer_count: int | None = None,
-):
-    """Legacy generator-API adapter for :func:`slack_find_proto`."""
-    return as_party(slack_find_proto, ground, own, own_count, peer_count)
 
 
 def guess_schedule(m: int) -> list[int]:
@@ -141,7 +127,6 @@ def randomized_slack_proto(
         raise ValueError(f"sampling constant must be >= 1, got {constant}")
     own_in_range = -1  # computed once, on the first saturated guess
     post = ch.post
-    unwrap = ch.unwrap
     # Walk guess_schedule(m) lazily: the common case (m <= C, immediately
     # saturated) resolves on the first guess, so materializing the whole
     # exponential schedule per invocation is pure allocation churn.
@@ -158,7 +143,7 @@ def randomized_slack_proto(
             own_count = own_in_range
         else:
             own_count = sum(1 for i in sample if i in own)
-        peer_count = unwrap((yield post(uint_cost(len(sample)), own_count)))
+        peer_count = yield post(uint_cost(len(sample)), own_count)
         if own_count + peer_count < len(sample):
             result = yield from slack_find_proto(
                 ch, sample, own, own_count=own_count, peer_count=peer_count
@@ -171,13 +156,3 @@ def randomized_slack_proto(
         "Algorithm 3 exhausted its guesses; the k-Slack-Int precondition "
         "|X|+|Y| <= m-1 must have been violated"
     )
-
-
-def randomized_slack_party(
-    m: int,
-    own: Set[int],
-    pub: Stream,
-    constant: int = SAMPLING_CONSTANT,
-):
-    """Legacy generator-API adapter for :func:`randomized_slack_proto`."""
-    return as_party(randomized_slack_proto, m, own, pub, constant)

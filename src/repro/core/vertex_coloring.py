@@ -130,7 +130,7 @@ def run_vertex_coloring(
     same tape as ``run(part, rand=Stream.from_seed(s))``.  Returns the
     common-knowledge coloring with the measured transcript (phases
     ``random_color_trial`` and ``d1lc_leftover``).  ``transport`` picks
-    the comm simulation backend (name or instance; default lockstep).
+    the comm transport (name or instance; default count).
     """
     n = partition.n
     delta = partition.max_degree

@@ -19,7 +19,7 @@ from .bench import (
     graphs_comparison,
     kernel_comparison,
     medium_workload,
-    transport_comparison,
+    obs_overhead,
 )
 from .results import build_document, results_table, write_results
 from .runner import (
@@ -72,6 +72,7 @@ __all__ = [
     "load_shard_document",
     "medium_workload",
     "merge_documents",
+    "obs_overhead",
     "pack_shards",
     "parse_shard_spec",
     "results_table",
@@ -82,6 +83,5 @@ __all__ = [
     "shard_scenarios",
     "smoke_scenarios",
     "sweep",
-    "transport_comparison",
     "write_results",
 ]

@@ -94,7 +94,7 @@ def build_document(
         "version": __version__,
         "count": len(results),
         "all_valid": all(bool(r.get("valid")) for r in results),
-        "transports": sorted({r.get("transport", "lockstep") for r in results}),
+        "transports": sorted({r.get("transport", "count") for r in results}),
         "results": [_canonical(r) for r in results],
     }
     if shard is not None:

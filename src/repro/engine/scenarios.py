@@ -67,9 +67,9 @@ class Scenario:
     (family, params) workload key — scenarios sharing a workload
     deliberately share randomness so that protocol, partition, and backend
     comparisons run on the identical instance (see :meth:`workload_key`).
-    ``transport`` picks the comm-simulation backend (lockstep / count /
-    strict); every transport yields identical transcripts, so, like the
-    graph backend, it is a pure execution axis.
+    ``transport`` picks the comm-simulation transport (count / strict);
+    both yield identical transcript aggregates, so, like the graph
+    backend, it is a pure execution axis.
     """
 
     family: str
@@ -78,7 +78,7 @@ class Scenario:
     protocol: str
     backend: str = "set"
     seed: int | None = None
-    transport: str = "lockstep"
+    transport: str = "count"
 
     def __post_init__(self) -> None:
         # Normalize params ordering so the same logical scenario always has
@@ -119,11 +119,11 @@ class Scenario:
     def name(self) -> str:
         """A stable human-readable identifier including the backend.
 
-        The transport appears only when it differs from the lockstep
-        default, so pre-existing scenario names are unchanged.
+        The transport appears only when it differs from the count
+        default, so default scenario names carry no transport suffix.
         """
         base = f"{self.coordinate}/{self.backend}"
-        if self.transport != "lockstep":
+        if self.transport != "count":
             return f"{base}/{self.transport}"
         return base
 
@@ -328,7 +328,7 @@ def _observe_result(protocol: str, result) -> None:
         obs.record_transcript(protocol, result.transcript)
 
 
-def _run_vertex(partition, seed: int, transport: str = "lockstep") -> dict[str, Any]:
+def _run_vertex(partition, seed: int, transport: str = "count") -> dict[str, Any]:
     # Stream-native call: rand=Stream.from_seed(seed) is bit-for-bit the
     # driver's own seed= back-compat path, so sweep records are unchanged.
     result = run_vertex_coloring(
@@ -345,7 +345,7 @@ def _run_vertex(partition, seed: int, transport: str = "lockstep") -> dict[str, 
     }
 
 
-def _run_edge(partition, seed: int, transport: str = "lockstep") -> dict[str, Any]:
+def _run_edge(partition, seed: int, transport: str = "count") -> dict[str, Any]:
     result = run_edge_coloring(partition, transport=transport, rand=Stream.from_seed(seed))
     _observe_result("edge", result)
     graph = partition.graph
@@ -358,7 +358,7 @@ def _run_edge(partition, seed: int, transport: str = "lockstep") -> dict[str, An
 
 
 def _run_edge_zero_comm(
-    partition, seed: int, transport: str = "lockstep"
+    partition, seed: int, transport: str = "count"
 ) -> dict[str, Any]:
     result = run_zero_comm_edge_coloring(
         partition, transport=transport, rand=Stream.from_seed(seed)

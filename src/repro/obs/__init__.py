@@ -9,12 +9,12 @@ The contract, in order of importance:
    sweeps and for dispatch runs with injected worker kills.
 2. **Disabled is (almost) free.**  The default observer is
    :data:`NULL_OBSERVER` (``enabled = False``); the engine's
-   instrumentation points live on per-scenario cold paths, and the two
-   comm hot-path sites go through :mod:`repro.comm.telemetry`'s single
+   instrumentation points live on per-scenario cold paths, and the
+   comm hot-path site goes through :mod:`repro.comm.telemetry`'s single
    module-flag branch.  The benchmark's A/B against the parent commit
    runs every workload with the observer off, so an off-path cost
-   shows as an end-to-end regression; ``bench --compare-transports
-   --max-obs-overhead`` caps the enabled path.
+   shows as an end-to-end regression; ``bench --max-obs-overhead``
+   caps the enabled path.
 3. **One switch.**  :func:`observing` installs an :class:`Observer`
    (tracer and/or metrics registry), enables the comm telemetry
    counters, and on exit folds telemetry + wall-clock into the metrics

@@ -1,12 +1,9 @@
 """Pool-safety tests for the allocation-free comm hot path.
 
-The count wire recycles keyed batch dicts across ``parallel`` rounds, and
-the ``Msg`` wire serves small messages from shared intern tables.  Both are
-only sound under specific lifetime rules (see the ``repro.comm.transport``
-module docstring):
+The wire recycles keyed batch dicts across ``parallel`` rounds.  That is
+only sound under specific lifetime rules (see the
+``repro.comm.transport`` module docstring):
 
-* an interned ``Msg`` may be aliased between concurrent sends because it is
-  frozen — it can never be mutated at all;
 * a pooled batch buffer may be recycled only once it is provably out of
   flight: the *last*-yielded buffer of a ``parallel`` invocation is dropped
   to the GC, never returned to the freelist;
@@ -15,53 +12,19 @@ module docstring):
 
 These tests drive the pooled generator by hand to pin the buffer lifecycle
 (including a mutate-after-recycle regression test), and run multi-iteration
-protocols on the count wire against the fresh-allocation lockstep reference
-to show slot reuse changes nothing observable.
+protocols on both transports against the unpooled reference driver in
+``tests/reference_wire.py``, to show slot reuse changes nothing
+observable.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.comm import TRANSPORTS
-from repro.comm.messages import EMPTY_MSG, Msg, intern_msg
-from repro.comm.transport import CountChannel, _CountBatch
+from repro.comm import TRANSPORTS, Transcript
+from repro.comm.transport import Channel, _Batch
 
-# ---------------------------------------------------------------------------
-# Msg interning: aliasing is safe because mutation is impossible
-# ---------------------------------------------------------------------------
-
-
-def test_interned_messages_are_shared_and_equal_to_fresh():
-    assert intern_msg(5, 3) is intern_msg(5, 3)
-    assert intern_msg(5, 3) == Msg(5, 3)
-    assert intern_msg(7) is intern_msg(7)
-    assert intern_msg(7) == Msg(7)
-    assert intern_msg(0) is EMPTY_MSG is Msg.empty()
-
-
-def test_interned_messages_cannot_be_mutated():
-    """The aliasing contract: a shared Msg can never change under a peer."""
-    msg = intern_msg(4, 2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        msg.payload = 99  # type: ignore[misc]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        msg.nbits = 0  # type: ignore[misc]
-    # Fresh (non-interned) messages are just as frozen.
-    big = Msg(4096, 2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        big.payload = 99  # type: ignore[misc]
-
-
-def test_out_of_range_shapes_fall_back_to_fresh_but_equal_msgs():
-    assert intern_msg(4096, None) == Msg(4096)
-    assert intern_msg(8, 1_000_000) == Msg(8, 1_000_000)
-    assert intern_msg(8, "payload") == Msg(8, "payload")
-    with pytest.raises(ValueError):
-        intern_msg(-1)
-
+from .reference_wire import fresh_run
 
 # ---------------------------------------------------------------------------
 # pooled parallel buffers: lifecycle, driven by hand
@@ -82,7 +45,7 @@ def _drive(ch, subprotocols, incoming_per_round):
     batches = [next(gen)]
     for incoming in incoming_per_round:
         try:
-            batches.append(gen.send(_CountBatch(incoming)))
+            batches.append(gen.send(_Batch(incoming)))
         except StopIteration as stop:
             return batches, stop.value
     raise AssertionError("parallel did not finish on schedule")
@@ -97,7 +60,7 @@ def test_last_yielded_buffer_is_never_recycled():
     next invocation would clear and refill an object the peer is still
     reading — exactly the aliasing bug this test pins.
     """
-    ch = CountChannel()
+    ch = Channel()
     batches, results = _drive(
         ch,
         {"x": (_echo, [1, 2]), "y": (_echo, [5])},
@@ -119,7 +82,7 @@ def test_last_yielded_buffer_is_never_recycled():
 
 
 def test_second_invocation_reuses_the_freed_buffer():
-    ch = CountChannel()
+    ch = Channel()
     batches1, _ = _drive(
         ch,
         {"x": (_echo, [1, 2]), "y": (_echo, [5])},
@@ -140,7 +103,7 @@ def test_zero_round_parallel_returns_both_buffers_to_the_pool():
         return []
         yield  # pragma: no cover - makes this a generator
 
-    ch = CountChannel()
+    ch = Channel()
     gen = ch.parallel({"a": instant, "b": instant})
     with pytest.raises(StopIteration) as stop:
         next(gen)
@@ -178,13 +141,14 @@ def test_buffer_reuse_matches_fresh_allocation_reference():
     spec_a = (_iterated_parallel, "alice", 12, list(range(5)))
     spec_b = (_iterated_parallel, "bob", 12, list(range(5)))
 
-    outcomes = {}
+    ref_a, ref_b, reference = fresh_run(spec_a, spec_b)
+    assert reference.rounds > 12
     for name in sorted(TRANSPORTS):
-        core = TRANSPORTS[name]
-        a, b, transcript = core.run(spec_a, spec_b, core.new_transcript())
-        outcomes[name] = (a, b, transcript.fingerprint())
-
-    assert outcomes["count"] == outcomes["lockstep"] == outcomes["strict"]
+        a, b, transcript = TRANSPORTS[name].run(spec_a, spec_b, Transcript())
+        assert (a, b) == (ref_a, ref_b)
+        assert transcript.fingerprint(with_log=True) == reference.fingerprint(
+            with_log=True
+        )
 
 
 def _retainer(ch, n):

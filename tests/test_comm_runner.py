@@ -1,46 +1,20 @@
-"""Tests for the lockstep runner, ledger, messages, and parallel composer."""
+"""Tests for the ledger and the one run loop (rounds, desync, fan-out)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.comm import (
-    BatchMsg,
-    Msg,
-    ProtocolDesyncError,
-    Transcript,
-    compose_parallel,
-    run_protocol,
-)
+from repro.comm import TRANSPORTS, ProtocolDesyncError, Transcript
+
+ALL_TRANSPORTS = sorted(TRANSPORTS)
 
 
-def echo_party(value, rounds):
+def echo_proto(ch, value, rounds):
     """Send ``value`` for ``rounds`` rounds; return everything received."""
-
-    def gen():
-        received = []
-        for _ in range(rounds):
-            reply = yield Msg(8, value)
-            received.append(reply.payload)
-        return received
-
-    return gen()
-
-
-class TestMsg:
-    def test_empty(self):
-        assert Msg.empty().nbits == 0
-        assert Msg.empty().is_empty
-
-    def test_negative_bits_rejected(self):
-        with pytest.raises(ValueError):
-            Msg(-1)
-
-    def test_batch_size_is_sum(self):
-        batch = BatchMsg({"a": Msg(3), "b": Msg(5)})
-        assert batch.nbits == 8
-        assert batch.get("a").nbits == 3
-        assert batch.get("missing").is_empty
+    received = []
+    for _ in range(rounds):
+        received.append((yield from ch.send(8, value)))
+    return received
 
 
 class TestTranscript:
@@ -80,84 +54,87 @@ class TestTranscript:
             t.record_round(-1, 0)
 
 
+@pytest.mark.parametrize("name", ALL_TRANSPORTS)
 class TestRunner:
-    def test_two_round_exchange(self):
-        a, b, t = run_protocol(echo_party("A", 2), echo_party("B", 2))
-        assert a == ["B", "B"]
-        assert b == ["A", "A"]
+    def test_two_round_exchange(self, name):
+        a, b, t = TRANSPORTS[name].run((echo_proto, 1, 2), (echo_proto, 2, 2))
+        assert a == [2, 2]
+        assert b == [1, 1]
         assert t.rounds == 2
         assert t.total_bits == 32
 
-    def test_zero_round_protocol(self):
-        def silent():
+    def test_zero_round_protocol(self, name):
+        def silent(ch):
             return "done"
             yield  # pragma: no cover - makes this a generator
 
-        a, b, t = run_protocol(silent(), silent())
+        a, b, t = TRANSPORTS[name].run(silent, silent)
         assert a == b == "done"
         assert t.rounds == 0
         assert t.total_bits == 0
 
-    def test_desync_raises(self):
+    def test_desync_raises(self, name):
         with pytest.raises(ProtocolDesyncError):
-            run_protocol(echo_party("A", 2), echo_party("B", 3))
+            TRANSPORTS[name].run((echo_proto, 1, 2), (echo_proto, 2, 3))
 
-    def test_transcript_reuse_accumulates(self):
+    def test_transcript_reuse_accumulates(self, name):
         t = Transcript()
-        run_protocol(echo_party("A", 1), echo_party("B", 1), t)
-        run_protocol(echo_party("A", 1), echo_party("B", 1), t)
+        TRANSPORTS[name].run((echo_proto, 1, 1), (echo_proto, 2, 1), t)
+        TRANSPORTS[name].run((echo_proto, 1, 1), (echo_proto, 2, 1), t)
         assert t.rounds == 2
+        assert t.round_log == [(8, 8), (8, 8)]
 
 
+@pytest.mark.parametrize("name", ALL_TRANSPORTS)
 class TestParallelComposer:
-    def test_round_sharing(self):
-        def party(lengths):
-            gens = {k: echo_party(k, r) for k, r in lengths.items()}
-            composed = compose_parallel(gens)
-            result = yield from composed
+    def test_round_sharing(self, name):
+        def party(ch, lengths):
+            result = yield from ch.parallel(
+                {k: (echo_proto, v, r) for k, (v, r) in lengths.items()}
+            )
             return result
 
-        lengths = {"x": 1, "y": 3}
-        a, b, t = run_protocol(party(lengths), party(lengths))
+        lengths = {"x": (7, 1), "y": (9, 3)}
+        a, b, t = TRANSPORTS[name].run((party, lengths), (party, lengths))
         # Round cost is the max of the sub-protocol lengths...
         assert t.rounds == 3
         # ...and each sub-protocol heard its counterpart the right number
         # of times.
-        assert a["x"] == ["x"]
-        assert a["y"] == ["y", "y", "y"]
+        assert a["x"] == [7]
+        assert a["y"] == [9, 9, 9]
         # Bit cost is the sum: x contributes 1 round of 8 bits per side,
         # y contributes 3.
         assert t.total_bits == 2 * 8 * (1 + 3)
 
-    def test_empty_composition_finishes_instantly(self):
-        def party():
-            result = yield from compose_parallel({})
+    def test_empty_composition_finishes_instantly(self, name):
+        def party(ch):
+            result = yield from ch.parallel({})
             return result
 
-        a, b, t = run_protocol(party(), party())
+        a, b, t = TRANSPORTS[name].run(party, party)
         assert a == {} and b == {}
         assert t.rounds == 0
 
-    def test_subprotocol_returning_without_yield(self):
-        def instant():
+    def test_subprotocol_returning_without_yield(self, name):
+        def instant(sub):
             return 42
             yield  # pragma: no cover
 
-        def party():
-            result = yield from compose_parallel({"i": instant(), "e": echo_party("e", 1)})
+        def party(ch):
+            result = yield from ch.parallel({"i": instant, "e": (echo_proto, 5, 1)})
             return result
 
-        a, _, t = run_protocol(party(), party())
-        assert a == {"i": 42, "e": ["e"]}
+        a, _, t = TRANSPORTS[name].run(party, party)
+        assert a == {"i": 42, "e": [5]}
         assert t.rounds == 1
 
-    def test_rejects_non_batch_peer_message(self):
-        def bad_peer():
-            yield Msg(1, "not a batch")
+    def test_rejects_non_batch_peer_message(self, name):
+        def bad_peer(ch):
+            yield from ch.send(1, 1)
 
-        def party():
-            result = yield from compose_parallel({"k": echo_party("k", 1)})
+        def party(ch):
+            result = yield from ch.parallel({"k": (echo_proto, 1, 1)})
             return result
 
         with pytest.raises(TypeError):
-            run_protocol(party(), bad_peer())
+            TRANSPORTS[name].run(party, bad_peer)

@@ -1,9 +1,9 @@
 """Tests for the Channel/Transport API: channels, transports, strict codecs.
 
-Covers the tentpole contract: one channel protocol runs on every
-transport with identical transcripts; the lockstep shim preserves desync
-detection; the strict transport actually fires on under-declared
-messages; ``Msg.empty`` is a cached singleton.
+Covers the contract: one channel protocol runs on both transports with
+identical transcripts; desync detection holds on the one run loop; the
+strict transport actually fires on under-declared messages, including
+inside a ``parallel`` fan-out, and keeps the per-round log.
 """
 
 from __future__ import annotations
@@ -12,18 +12,12 @@ import pytest
 
 from repro.comm import (
     TRANSPORTS,
-    BatchMsg,
     CodecMismatchError,
-    CountOnlyTransport,
-    LockstepTransport,
-    Msg,
     ProtocolDesyncError,
     StrictTransport,
     Transcript,
-    as_party,
-    compose_parallel,
+    Transport,
     resolve_transport,
-    run_protocol,
     verify_declared_cost,
 )
 from repro.comm.codecs import encode_flag_bitmap
@@ -48,29 +42,21 @@ def count_up_proto(ch, rounds):
     return seen
 
 
-class TestMsgSingleton:
-    def test_empty_is_cached(self):
-        assert Msg.empty() is Msg.empty()
-        assert Msg.empty().nbits == 0
-        assert Msg.empty().payload is None
-
-    def test_batch_get_reuses_singleton(self):
-        batch = BatchMsg({"a": Msg(3)})
-        assert batch.get("missing") is Msg.empty()
-
-
 class TestResolveTransport:
     def test_names_and_instances(self):
-        assert isinstance(resolve_transport("lockstep"), LockstepTransport)
-        assert isinstance(resolve_transport("count"), CountOnlyTransport)
+        assert type(resolve_transport("count")) is Transport
         assert isinstance(resolve_transport("strict"), StrictTransport)
-        assert resolve_transport(None) is TRANSPORTS["lockstep"]
-        custom = CountOnlyTransport()
+        assert resolve_transport(None) is TRANSPORTS["count"]
+        custom = Transport()
         assert resolve_transport(custom) is custom
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_transport("telepathy")
+    def test_registry_is_count_and_strict(self):
+        assert set(TRANSPORTS) == {"count", "strict"}
+
+    @pytest.mark.parametrize("name", ["telepathy", "lockstep"])
+    def test_unknown_name_rejected(self, name):
+        with pytest.raises(ValueError, match="'count', 'strict'"):
+            resolve_transport(name)
 
 
 class TestChannelExchanges:
@@ -85,19 +71,6 @@ class TestChannelExchanges:
         assert b == [1, 1]
         assert t.rounds == 2
         assert t.total_bits == 32
-
-    @pytest.mark.parametrize("name", ALL_TRANSPORTS)
-    def test_exchange_returns_msg(self, name):
-        def proto(ch, value):
-            reply = yield from ch.exchange(Msg(3, value))
-            assert isinstance(reply, Msg)
-            return (reply.nbits, reply.payload)
-
-        a, b, _ = TRANSPORTS[name].run(
-            lambda ch: proto(ch, 5), lambda ch: proto(ch, 6)
-        )
-        assert a == (3, 6)
-        assert b == (3, 5)
 
     @pytest.mark.parametrize("name", ALL_TRANSPORTS)
     def test_recv_is_silent(self, name):
@@ -143,14 +116,6 @@ class TestDesync:
             TRANSPORTS[name].run(
                 lambda ch: echo_proto(ch, 1, 2),
                 lambda ch: echo_proto(ch, 2, 3),
-            )
-
-    def test_desync_preserved_through_channel_shim(self):
-        """Channel protocols adapted by ``as_party`` keep desync detection."""
-        with pytest.raises(ProtocolDesyncError):
-            run_protocol(
-                as_party(echo_proto, "a", 1),
-                as_party(echo_proto, "b", 4),
             )
 
     @pytest.mark.parametrize("name", ALL_TRANSPORTS)
@@ -290,8 +255,8 @@ class TestChannelParallel:
             result = yield from ch.parallel({"k": bad_sub})
             return result
 
-        # Lockstep/count reject at Msg/batch construction (ValueError);
-        # strict rejects even earlier at codec verification.
+        # Count rejects the negative size itself (ValueError); strict
+        # rejects even earlier at codec verification.
         with pytest.raises((ValueError, CodecMismatchError)):
             TRANSPORTS[name].run(party, party)
 
@@ -325,12 +290,6 @@ class TestCountTransport:
         assert t.round_log == []
         assert t.rounds == 3
 
-    def test_lockstep_keeps_round_log(self):
-        _, _, t = TRANSPORTS["lockstep"].run(
-            lambda ch: echo_proto(ch, 1, 3), lambda ch: echo_proto(ch, 2, 3)
-        )
-        assert t.round_log == [(8, 8), (8, 8), (8, 8)]
-
     def test_negative_declared_bits_rejected(self):
         def bad(ch):
             yield from ch.send(-1, None)
@@ -362,6 +321,39 @@ class TestCountTransport:
             ref.bits_bob_to_alice,
             ref.rounds,
         )
+
+
+class TestRoundLog:
+    def test_strict_keeps_round_log(self):
+        _, _, t = TRANSPORTS["strict"].run(
+            lambda ch: echo_proto(ch, 1, 3), lambda ch: echo_proto(ch, 2, 3)
+        )
+        assert t.record_log is True
+        assert t.round_log == [(8, 8), (8, 8), (8, 8)]
+
+    def test_count_keeps_round_log_when_the_transcript_asks(self):
+        """The log follows ``record_log``, not the transport."""
+
+        def proto(ch, bits):
+            for b in bits:
+                yield from ch.send(b, 0 if b else None)
+            return None
+
+        _, _, t = TRANSPORTS["count"].run(
+            (proto, (3, 0, 1)), (proto, (0, 0, 2)), Transcript()
+        )
+        assert t.round_log == [(3, 0), (0, 0), (1, 2)]
+        assert t.messages == 3
+
+    def test_parallel_round_log_sums_sub_protocols(self):
+        def party(ch):
+            result = yield from ch.parallel(
+                {"x": (echo_proto, 1, 1), "y": (count_up_proto, 2)}
+            )
+            return result
+
+        _, _, t = TRANSPORTS["strict"].run(party, party)
+        assert t.round_log == [(12, 12), (4, 4)]
 
 
 class TestStrictTransport:
@@ -420,7 +412,7 @@ class TestStrictTransport:
         assert a == (True, False, True)
         assert t.total_bits == 16
 
-    def test_lockstep_does_not_verify(self):
+    def test_count_does_not_verify(self):
         """Only strict pays (and enforces) the codec check."""
 
         def cheater(ch):
@@ -429,44 +421,38 @@ class TestStrictTransport:
         def honest(ch):
             yield from ch.recv()
 
-        _, _, t = TRANSPORTS["lockstep"].run(cheater, honest)
+        _, _, t = TRANSPORTS["count"].run(cheater, honest)
         assert t.total_bits == 3
+
+    @pytest.mark.parametrize("spelling", ["send", "post"])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_under_declared_inside_parallel_fires(self, spelling, depth):
+        """The sub-channel is the channel: the check reaches every sub-protocol."""
+
+        def cheater(sub):
+            yield from echo_proto(sub, 1, 1)
+            # 17 needs 5 bits; declaring 3 under-reports the cost.
+            if spelling == "send":
+                yield from sub.send(3, 17)
+            else:
+                yield sub.post(3, 17)
+
+        def fan_out(ch, level):
+            if level == 0:
+                result = yield from cheater(ch)
+                return result
+            result = yield from ch.parallel(
+                {"ok": (echo_proto, 2, 2), "bad": (fan_out, level - 1)}
+            )
+            return result
+
+        with pytest.raises(CodecMismatchError):
+            TRANSPORTS["strict"].run((fan_out, depth), (fan_out, depth))
+        # The same fan-out runs unchecked on count.
+        _, _, t = TRANSPORTS["count"].run((fan_out, depth), (fan_out, depth))
+        assert t.rounds == 2
 
     def test_verify_declared_cost_none_payload(self):
         verify_declared_cost(0, None)
         with pytest.raises(CodecMismatchError):
             verify_declared_cost(4, None)
-
-
-class TestLegacyInterop:
-    def test_as_party_runs_under_run_protocol(self):
-        a, b, t = run_protocol(
-            as_party(count_up_proto, 2), as_party(count_up_proto, 2)
-        )
-        assert a == b == [0, 1]
-        assert t.rounds == 2
-
-    def test_as_party_composes_with_compose_parallel(self):
-        def party():
-            result = yield from compose_parallel(
-                {k: as_party(echo_proto, k, rounds) for k, rounds in (("x", 1), ("y", 2))}
-            )
-            return result
-
-        a, _, t = run_protocol(party(), party())
-        assert a == {"x": ["x"], "y": ["y", "y"]}
-        assert t.rounds == 2
-
-    def test_legacy_generators_run_on_msg_transports(self):
-        def legacy(value, rounds):
-            received = []
-            for _ in range(rounds):
-                reply = yield Msg(8, value)
-                received.append(reply.payload)
-            return received
-
-        for name in ("lockstep", "strict"):
-            a, b, t = TRANSPORTS[name].run(legacy("A", 2), legacy("B", 2))
-            assert a == ["B", "B"]
-            assert b == ["A", "A"]
-            assert t.rounds == 2

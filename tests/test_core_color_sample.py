@@ -7,15 +7,15 @@ from collections import Counter
 
 import pytest
 
-from repro.comm import as_party, run_protocol
+from repro.comm import TRANSPORTS
 from repro.rand import Stream
-from repro.core import color_sample_party, color_sample_proto
+from repro.core import color_sample_proto
 
 
 def sample_once(m, used_a, used_b, seed):
-    a, b, t = run_protocol(
-        color_sample_party(m, used_a, Stream.from_seed(seed)),
-        color_sample_party(m, used_b, Stream.from_seed(seed)),
+    a, b, t = TRANSPORTS["count"].run(
+        (color_sample_proto, m, used_a, Stream.from_seed(seed)),
+        (color_sample_proto, m, used_b, Stream.from_seed(seed)),
     )
     assert a == b, "the sampled color must be common knowledge"
     return a, t
@@ -48,11 +48,17 @@ class TestCorrectness:
 
     def test_rejects_empty_palette(self):
         with pytest.raises(ValueError):
-            next(color_sample_party(0, set(), Stream.from_seed(0)))
+            TRANSPORTS["count"].run(
+                (color_sample_proto, 0, set(), Stream.from_seed(0)),
+                (color_sample_proto, 0, set(), Stream.from_seed(0)),
+            )
 
     def test_rejects_out_of_palette_used_colors(self):
         with pytest.raises(ValueError):
-            next(color_sample_party(3, {4}, Stream.from_seed(0)))
+            TRANSPORTS["count"].run(
+                (color_sample_proto, 3, {4}, Stream.from_seed(0)),
+                (color_sample_proto, 3, {4}, Stream.from_seed(0)),
+            )
 
     @pytest.mark.parametrize("constant", [None, 2])
     def test_prebuilt_permutation_matches_drawing_it(self, constant):
@@ -60,16 +66,14 @@ class TestCorrectness:
         # helper does); the run, including later slack draws, is unchanged.
         m, used_a, used_b = 40, {1, 2, 3}, {4, 5}
         for seed in range(10):
-            want = run_protocol(
-                color_sample_party(m, used_a, Stream.from_seed(seed), constant),
-                color_sample_party(m, used_b, Stream.from_seed(seed), constant),
+            want = TRANSPORTS["count"].run(
+                (color_sample_proto, m, used_a, Stream.from_seed(seed), constant),
+                (color_sample_proto, m, used_b, Stream.from_seed(seed), constant),
             )
             pub_a, pub_b = Stream.from_seed(seed), Stream.from_seed(seed)
-            got = run_protocol(
-                as_party(color_sample_proto, m, used_a, pub_a, constant,
-                         pub_a.permutation(m)),
-                as_party(color_sample_proto, m, used_b, pub_b, constant,
-                         pub_b.permutation(m)),
+            got = TRANSPORTS["count"].run(
+                (color_sample_proto, m, used_a, pub_a, constant, pub_a.permutation(m)),
+                (color_sample_proto, m, used_b, pub_b, constant, pub_b.permutation(m)),
             )
             assert got[:2] == want[:2]
             assert got[2].fingerprint() == want[2].fingerprint()
@@ -77,7 +81,10 @@ class TestCorrectness:
     def test_rejects_permutation_of_another_size(self):
         pub = Stream.from_seed(0)
         with pytest.raises(ValueError):
-            next(as_party(color_sample_proto, 5, set(), pub, None, pub.permutation(6)))
+            TRANSPORTS["count"].run(
+                (color_sample_proto, 5, set(), pub, None, pub.permutation(6)),
+                (color_sample_proto, 5, set(), pub, None, pub.permutation(6)),
+            )
 
 
 class TestUniformity:

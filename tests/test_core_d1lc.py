@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from repro.comm import run_protocol
+from repro.comm import TRANSPORTS
 from repro.rand import Stream
-from repro.core import d1lc_party, sample_list_size, sparsity_threshold
+from repro.core import d1lc_proto, sample_list_size, sparsity_threshold
 from repro.core.d1lc import SAMPLE_FACTOR
 from repro.graphs import Graph, gnp_random_graph, is_proper_list_coloring, partition_random
 
@@ -41,9 +41,9 @@ def run_d1lc(part, lists_a, lists_b, active, m, seed=0):
     pub_a, pub_b = Stream.from_seed(seed), Stream.from_seed(seed)
     rng_a = Stream.from_seed(seed).derive_random("a")
     rng_b = Stream.from_seed(seed).derive_random("b")
-    a, b, t = run_protocol(
-        d1lc_party("alice", part.alice_graph, lists_a, active, m, pub_a, rng_a),
-        d1lc_party("bob", part.bob_graph, lists_b, active, m, pub_b, rng_b),
+    a, b, t = TRANSPORTS["count"].run(
+        (d1lc_proto, "alice", part.alice_graph, lists_a, active, m, pub_a, rng_a),
+        (d1lc_proto, "bob", part.bob_graph, lists_b, active, m, pub_b, rng_b),
     )
     assert a == b, "the D1LC coloring must be common knowledge"
     return a, t
@@ -105,9 +105,9 @@ class TestProtocol:
         m = 3
         lists = {v: {1, 2, 3} for v in active}
         pub_a, pub_b = Stream.from_seed(1), Stream.from_seed(1)
-        a, b, _ = run_protocol(
-            d1lc_party("alice", sub_a, lists, active, m, pub_a, random.Random(1)),
-            d1lc_party("bob", sub_b, lists, active, m, pub_b, random.Random(1)),
+        a, b, _ = TRANSPORTS["count"].run(
+            (d1lc_proto, "alice", sub_a, lists, active, m, pub_a, random.Random(1)),
+            (d1lc_proto, "bob", sub_b, lists, active, m, pub_b, random.Random(1)),
         )
         assert set(a) == set(active)
         assert a[0] != a[1] and a[1] != a[2]
@@ -115,11 +115,11 @@ class TestProtocol:
     def test_rejects_bad_role(self, rng):
         g = gnp_random_graph(3, 0.5, rng)
         with pytest.raises(ValueError):
-            next(
-                d1lc_party(
-                    "carol", g, {v: {1} for v in g.vertices()}, [0], 1,
-                    Stream.from_seed(0), rng,
-                )
+            TRANSPORTS["count"].run(
+                (d1lc_proto, "carol", g, {v: {1} for v in g.vertices()}, [0], 1,
+                 Stream.from_seed(0), rng),
+                (d1lc_proto, "carol", g, {v: {1} for v in g.vertices()}, [0], 1,
+                 Stream.from_seed(0), rng),
             )
 
     def test_round_complexity_logarithmic_in_delta(self, rng):

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 
-from repro.comm import run_protocol
+from repro.comm import TRANSPORTS
 from repro.rand import Stream
-from repro.core import paper_iteration_count, random_color_trial_party
+from repro.core import paper_iteration_count, random_color_trial_proto
 from repro.graphs import (
     gnp_random_graph,
     partition_random,
@@ -17,13 +17,11 @@ from .conftest import all_partitions
 
 
 def run_trial(partition, num_colors, seed=0, max_iterations=None):
-    (a_colors, a_active), (b_colors, b_active), t = run_protocol(
-        random_color_trial_party(
-            partition.alice_graph, num_colors, Stream.from_seed(seed), max_iterations
-        ),
-        random_color_trial_party(
-            partition.bob_graph, num_colors, Stream.from_seed(seed), max_iterations
-        ),
+    (a_colors, a_active), (b_colors, b_active), t = TRANSPORTS["count"].run(
+        (random_color_trial_proto, partition.alice_graph, num_colors,
+         Stream.from_seed(seed), max_iterations),
+        (random_color_trial_proto, partition.bob_graph, num_colors,
+         Stream.from_seed(seed), max_iterations),
     )
     assert a_colors == b_colors and a_active == b_active
     return a_colors, a_active, t

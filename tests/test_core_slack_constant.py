@@ -5,16 +5,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.comm import Transcript, run_protocol
+from repro.comm import TRANSPORTS, Transcript
 from repro.rand import Stream
-from repro.core import color_sample_party
-from repro.core.slack import randomized_slack_party, sampling_probability
+from repro.core import color_sample_proto
+from repro.core.slack import randomized_slack_proto, sampling_probability
 
 
-def run_with_constant(m, X, Y, constant, seed=0):
-    return run_protocol(
-        randomized_slack_party(m, X, Stream.from_seed(seed), constant=constant),
-        randomized_slack_party(m, Y, Stream.from_seed(seed), constant=constant),
+def run_with_constant(m, X, Y, constant, seed=0, transport="count"):
+    # Spec tuples are positional; ``constant`` is randomized_slack_proto's
+    # fourth input after the channel.
+    return TRANSPORTS[transport].run(
+        (randomized_slack_proto, m, X, Stream.from_seed(seed), constant),
+        (randomized_slack_proto, m, Y, Stream.from_seed(seed), constant),
     )
 
 
@@ -39,7 +41,7 @@ class TestSamplingConstantParameter:
 
     def test_rejects_nonpositive_constant(self):
         with pytest.raises(ValueError):
-            next(randomized_slack_party(4, set(), Stream.from_seed(0), constant=0))
+            run_with_constant(4, set(), set(), 0)
 
     def test_probability_formula(self):
         assert sampling_probability(100, 10, constant=1) == 1.0
@@ -47,9 +49,9 @@ class TestSamplingConstantParameter:
 
     def test_color_sample_passthrough(self):
         for seed in range(10):
-            a, b, _ = run_protocol(
-                color_sample_party(16, {1, 2}, Stream.from_seed(seed), 4),
-                color_sample_party(16, {3}, Stream.from_seed(seed), 4),
+            a, b, _ = TRANSPORTS["count"].run(
+                (color_sample_proto, 16, {1, 2}, Stream.from_seed(seed), 4),
+                (color_sample_proto, 16, {3}, Stream.from_seed(seed), 4),
             )
             assert a == b and a not in {1, 2, 3}
 
@@ -65,6 +67,6 @@ class TestRoundLog:
         assert len(t.round_log) == t.rounds
 
     def test_protocol_run_populates_log(self):
-        a, b, t = run_with_constant(64, {1}, {2}, 150)
+        a, b, t = run_with_constant(64, {1}, {2}, 150, transport="strict")
         assert len(t.round_log) == t.rounds
         assert sum(x + y for x, y in t.round_log) == t.total_bits

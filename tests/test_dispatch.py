@@ -391,13 +391,13 @@ def test_merge_tree_folds_idempotent_overlaps():
 # coordinator + CLI happy paths
 # ---------------------------------------------------------------------------
 
-_SELECTION = ["--smoke", "--filter", "edge_zero_comm", "--transport", "lockstep"]
+_SELECTION = ["--smoke", "--filter", "edge_zero_comm", "--transport", "count"]
 
 
 def _selected_grid():
     return list(
         iter_scenarios(
-            smoke_scenarios(), pattern="edge_zero_comm", transport="lockstep"
+            smoke_scenarios(), pattern="edge_zero_comm", transport="count"
         )
     )
 

@@ -36,7 +36,7 @@ from repro.dispatch import (
 )
 from repro.engine import iter_scenarios, smoke_scenarios, sweep, write_results
 
-SELECTION = ["--smoke", "--filter", "edge_zero_comm", "--transport", "lockstep"]
+SELECTION = ["--smoke", "--filter", "edge_zero_comm", "--transport", "count"]
 
 
 @pytest.fixture(autouse=True)
@@ -51,7 +51,7 @@ def _src_on_worker_path(monkeypatch):
 def _grid():
     return list(
         iter_scenarios(
-            smoke_scenarios(), pattern="edge_zero_comm", transport="lockstep"
+            smoke_scenarios(), pattern="edge_zero_comm", transport="count"
         )
     )
 

@@ -18,10 +18,12 @@ from repro.engine import (
     results_table,
     run_scenario,
     smoke_scenarios,
+    medium_workload,
+    obs_overhead,
     sweep,
-    transport_comparison,
     write_results,
 )
+from repro.core import run_vertex_coloring
 from repro.__main__ import main
 from repro.rand import kernels
 
@@ -233,48 +235,73 @@ def test_cli_bench_tiny(capsys):
     assert "graph backend comparison" in out
 
 
-def test_transport_comparison_rows():
-    rows = transport_comparison(n=48, d=4, seed=1, repeat=1)
-    assert all(r["transcripts_equal"] for r in rows)
-    vertex = next(r for r in rows if r["protocol"] == "vertex (thm 1)")
-    assert "obs_overhead" in vertex
-    assert not any(key.startswith("legacy_") for r in rows for key in r)
+def test_obs_overhead_row():
+    row = obs_overhead(n=48, d=4, seed=1, repeat=1)
+    assert row["protocol"] == "vertex (thm 1)"
+    assert row["count_s"] > 0 and row["obs_enabled_s"] > 0
+    assert row["obs_overhead"] == row["obs_enabled_s"] / row["count_s"] - 1.0
+    reference = run_vertex_coloring(medium_workload(48, 4, 1), seed=1)
+    assert (row["total_bits"], row["rounds"]) == (
+        reference.total_bits,
+        reference.rounds,
+    )
 
 
-def test_cli_bench_compare_transports(tmp_path, capsys):
-    out_json = tmp_path / "transports.json"
+def test_obs_overhead_is_infinite_when_the_disabled_arm_times_at_zero(monkeypatch):
+    def zero_time(fn, repeat):
+        fn()
+        return 0.0
+
+    monkeypatch.setattr("repro.engine.bench._time", zero_time)
+    assert obs_overhead(n=48, d=4, seed=1, repeat=1)["obs_overhead"] == float("inf")
+
+
+def test_cli_bench_obs_overhead_passes_under_the_ceiling(tmp_path, capsys):
+    out_json = tmp_path / "obs.json"
     assert main(
-        ["bench", "--compare-transports", "--n", "48", "--degree", "4",
-         "--repeat", "1", "--json", str(out_json), "--max-obs-overhead", "1e6"]
+        ["bench", "--max-obs-overhead", "1e6", "--n", "48", "--degree", "4",
+         "--repeat", "1", "--json", str(out_json)]
     ) == 0
     out = capsys.readouterr().out
-    assert "comm transport comparison" in out
+    assert "observability overhead" in out
     assert "obs overhead guard" in out
     document = json.loads(out_json.read_text())
-    assert document["bench"] == "transport_comparison"
-    assert all(r["transcripts_equal"] for r in document["rows"])
+    assert document["bench"] == "obs_overhead"
+    [row] = document["rows"]
+    assert row["protocol"] == "vertex (thm 1)"
 
 
 def test_cli_bench_obs_ceiling_fails_on_impossible_bound(capsys):
     # Enabled observability can never run in less than no time.
     assert main(
-        ["bench", "--compare-transports", "--n", "48", "--degree", "4",
-         "--repeat", "1", "--max-obs-overhead", "-100"]
+        ["bench", "--max-obs-overhead", "-100", "--n", "48", "--degree", "4",
+         "--repeat", "1"]
     ) == 1
     assert "REGRESSION" in capsys.readouterr().err
 
 
-def test_cli_bench_obs_ceiling_fails_on_nan(monkeypatch, capsys):
-    row = {
-        "protocol": "vertex (thm 1)", "lockstep_s": 1.0, "count_s": 1.0,
-        "strict_s": 1.0, "count_speedup": 1.0, "transcripts_equal": True,
-        "obs_overhead": float("nan"),
+def _stub_obs_row(overhead):
+    return {
+        "protocol": "vertex (thm 1)", "n": 512, "d": 10, "seed": 42,
+        "count_s": 1.0, "obs_enabled_s": 1.0 + overhead,
+        "obs_overhead": overhead, "total_bits": 0, "rounds": 0,
     }
+
+
+@pytest.mark.parametrize(
+    "overhead, code", [(0.10, 0), (0.25, 0), (0.30, 1), (float("nan"), 1),
+                       (float("inf"), 1)]
+)
+def test_cli_bench_obs_ceiling(monkeypatch, capsys, overhead, code):
     monkeypatch.setattr(
-        "repro.__main__.transport_comparison", lambda **kwargs: [row]
+        "repro.__main__.obs_overhead", lambda **kwargs: _stub_obs_row(overhead)
     )
-    assert main(["bench", "--compare-transports", "--max-obs-overhead", "25"]) == 1
-    assert "REGRESSION" in capsys.readouterr().err
+    assert main(["bench", "--max-obs-overhead", "25"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "REGRESSION" in captured.err
+    else:
+        assert "obs overhead guard" in captured.out
 
 
 def test_cli_bench_rand(tmp_path, capsys):
@@ -325,7 +352,7 @@ def test_cli_bench_csr_floor_fails_on_nan(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "mode", [[], ["--rand"], ["--compare-transports"], ["--graphs"]]
+    "mode", [[], ["--rand"], ["--max-obs-overhead", "25"], ["--graphs"]]
 )
 def test_cli_bench_rejects_repeat_below_one(mode, capsys):
     assert main(["bench", *mode, "--repeat", "0"]) == 2
@@ -365,17 +392,26 @@ def test_cli_smoke_and_large_are_exclusive(capsys):
 
 
 def test_cli_bench_mode_flags_are_exclusive(capsys):
-    assert main(["bench", "--rand", "--compare-transports"]) == 2
+    assert main(["bench", "--rand", "--max-obs-overhead", "25"]) == 2
     assert "mutually exclusive" in capsys.readouterr().err
     assert main(["bench", "--graphs", "--rand"]) == 2
     assert "mutually exclusive" in capsys.readouterr().err
 
 
-def test_cli_bench_rand_and_graphs_reject_transport(capsys):
-    assert main(["bench", "--rand", "--transport", "count"]) == 2
+def test_cli_bench_modes_reject_transport(capsys):
+    assert main(["bench", "--rand", "--transport", "strict"]) == 2
     assert "--transport conflicts with --rand" in capsys.readouterr().err
-    assert main(["bench", "--graphs", "--transport", "count"]) == 2
+    assert main(["bench", "--graphs", "--transport", "strict"]) == 2
     assert "--transport conflicts with --graphs" in capsys.readouterr().err
+    assert main(["bench", "--max-obs-overhead", "25", "--transport", "strict"]) == 2
+    assert "--transport conflicts with --max-obs-overhead" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "merge", "dispatch", "list-scenarios"])
+def test_cli_rejects_the_removed_lockstep_transport(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--transport", "lockstep"])
+    assert "invalid choice: 'lockstep'" in capsys.readouterr().err
 
 
 def test_cli_bench_rejects_infeasible_workload(capsys):

@@ -13,8 +13,7 @@ import json
 
 import pytest
 
-from repro.comm import telemetry
-from repro.comm.messages import intern_msg
+from repro.comm import TRANSPORTS, telemetry
 from repro.engine import run_scenario, Scenario
 from repro.obs import (
     Counter,
@@ -63,12 +62,12 @@ def test_registry_get_or_create_and_deterministic_snapshot(tmp_path):
     registry.counter("a").inc(1)
     registry.gauge("g").set(7.0)
     registry.histogram("h").observe(0.5)
-    registry.extra["comm"] = {"intern_hits": 0}
+    registry.extra["comm"] = {"pool_reused": 0}
     snapshot = registry.snapshot()
     assert list(snapshot["counters"]) == ["a", "b"]  # sorted
     assert snapshot["counters"] == {"a": 1, "b": 2}
     assert snapshot["gauges"] == {"g": 7.0}
-    assert snapshot["comm"] == {"intern_hits": 0}
+    assert snapshot["comm"] == {"pool_reused": 0}
     out = registry.write(tmp_path / "nested" / "metrics.json")
     assert json.loads(out.read_text()) == snapshot
 
@@ -92,28 +91,33 @@ def test_wall_clock_semantics():
     assert clock.snapshot() == {}
 
 
+def _one_round(ch):
+    reply = yield from ch.send(1, 1)
+    return reply
+
+
+def _fan_outs(ch, times):
+    """``times`` one-round ``parallel`` invocations on one channel."""
+    for _ in range(times):
+        yield from ch.parallel({"k": (_one_round,)})
+
+
 def test_comm_telemetry_dead_when_no_observer_installed():
     assert get_observer().enabled is False
     assert telemetry.enabled is False
     telemetry.reset()
-    for _ in range(50):
-        intern_msg(3)
-        intern_msg(5, 2)
-    assert telemetry.intern_hits == 0 and telemetry.intern_misses == 0
+    TRANSPORTS["count"].run((_fan_outs, 50), (_fan_outs, 50))
+    assert telemetry.pool_reused == 0 and telemetry.pool_allocated == 0
 
 
 def test_comm_telemetry_counts_under_observing(tmp_path):
     with observing(metrics=tmp_path / "metrics.json"):
-        for _ in range(10):
-            intern_msg(3)  # silent-message intern table
-        intern_msg(4, 1)  # int-payload intern table
-        intern_msg(10_000, None)  # beyond the table: a fresh allocation
+        TRANSPORTS["count"].run((_fan_outs, 3), (_fan_outs, 3))
     assert telemetry.enabled is False  # restored on exit
     document = json.loads((tmp_path / "metrics.json").read_text())
-    comm = document["comm"]
-    assert comm["intern_hits"] == 11
-    assert comm["intern_misses"] == 1
-    assert comm["intern_hit_rate"] == pytest.approx(11 / 12)
+    # Per party: the first fan-out allocates both buffers and returns
+    # one; each later fan-out reuses that one and allocates a spare.
+    assert document["comm"] == {"pool_reused": 2 * 2, "pool_allocated": 2 * 4}
 
 
 def _smoke_scenario():

@@ -1,4 +1,4 @@
-"""Property/fuzz tests for channel semantics across all three transports.
+"""Property/fuzz tests for channel semantics across both transports.
 
 The example-based parity suite runs the repo's real protocols; these tests
 instead *generate* protocol shapes — random phase nesting, random keyed
@@ -6,9 +6,10 @@ parallel compositions whose sub-protocols finish in different rounds,
 zero-payload sends, one-sided silence — from a seed, and assert the two
 hard contracts hold on every shape:
 
-1. lockstep == count == strict, bit for bit: identical return values and
-   identical transcript fingerprints (the with-log fingerprint also agrees
-   between the two log-keeping transports);
+1. count == strict == the unpooled reference wire of
+   ``tests/reference_wire.py``, bit for bit: identical return values and
+   identical with-log transcript fingerprints (count keeps the log when
+   its transcript asks for one);
 2. schedule violations (mismatched phase stacks, one party terminating
    early) raise :class:`ProtocolDesyncError` on every transport — never a
    silent desync.
@@ -23,8 +24,10 @@ import random
 
 import pytest
 
-from repro.comm import TRANSPORTS
+from repro.comm import TRANSPORTS, Transcript
 from repro.comm.transport import ProtocolDesyncError
+
+from .reference_wire import fresh_run
 
 ALL_TRANSPORTS = sorted(TRANSPORTS)
 
@@ -123,31 +126,30 @@ def _run_plan(ch, plan, role):
     return trace
 
 
-def _execute(seed: int, transport: str):
+def _plan_specs(seed: int):
     rng = random.Random(seed)
     plan = _random_plan(rng, 0, [rng.randint(4, 14)])
     if not plan:
         plan = [("both", 3, 1, 2)]
-    core = TRANSPORTS[transport]
-    transcript = core.new_transcript()
-    a, b, transcript = core.run(
-        (_run_plan, plan, "alice"), (_run_plan, plan, "bob"), transcript
-    )
-    return a, b, transcript
+    return (_run_plan, plan, "alice"), (_run_plan, plan, "bob")
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_shapes_are_transport_invariant(seed):
-    runs = {t: _execute(seed, t) for t in ALL_TRANSPORTS}
-    a_ref, b_ref, ref = runs["lockstep"]
-    for transport, (a, b, transcript) in runs.items():
-        assert a == a_ref, (seed, transport)
-        assert b == b_ref, (seed, transport)
-        assert transcript.fingerprint() == ref.fingerprint(), (seed, transport)
-    assert runs["strict"][2].fingerprint(with_log=True) == ref.fingerprint(
-        with_log=True
-    ), seed
-    assert runs["count"][2].round_log == []
+    alice, bob = _plan_specs(seed)
+    a_ref, b_ref, ref = fresh_run(alice, bob)
+    for transport in ALL_TRANSPORTS:
+        for transcript in (TRANSPORTS[transport].new_transcript(), Transcript()):
+            a, b, transcript = TRANSPORTS[transport].run(alice, bob, transcript)
+            assert a == a_ref, (seed, transport)
+            assert b == b_ref, (seed, transport)
+            assert transcript.fingerprint() == ref.fingerprint(), (seed, transport)
+            if transcript.record_log:
+                assert transcript.fingerprint(with_log=True) == ref.fingerprint(
+                    with_log=True
+                ), (seed, transport)
+            else:
+                assert transport == "count" and transcript.round_log == []
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -210,20 +212,3 @@ def test_early_termination_always_raises(seed):
         core = TRANSPORTS[transport]
         with pytest.raises(ProtocolDesyncError):
             core.run(greedy_alice, (_run_plan, plan, "bob"), core.new_transcript())
-
-
-def test_exchange_paired_with_plain_send_desyncs_on_count():
-    """Msg-level exchange needs the peer at Msg level on the count wire."""
-    from repro.comm.messages import Msg
-
-    def alice(ch):
-        reply = yield from ch.exchange(Msg(4, 7))
-        return reply
-
-    def bob(ch):
-        reply = yield from ch.send(4, 5)
-        return reply
-
-    core = TRANSPORTS["count"]
-    with pytest.raises(ProtocolDesyncError):
-        core.run(alice, bob, core.new_transcript())

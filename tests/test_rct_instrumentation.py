@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from repro.comm import run_protocol
+from repro.comm import TRANSPORTS
 from repro.rand import Stream
-from repro.core import random_color_trial_party
+from repro.core import random_color_trial_proto
 from repro.graphs import partition_random, random_regular_graph
 
 
@@ -13,13 +13,11 @@ class TestActiveHistory:
         g = random_regular_graph(n, d, rng)
         part = partition_random(g, rng)
         history: list[int] = []
-        (colors, active), _, t = run_protocol(
-            random_color_trial_party(
-                part.alice_graph, d + 1, Stream.from_seed(seed), cap, history
-            ),
-            random_color_trial_party(
-                part.bob_graph, d + 1, Stream.from_seed(seed), cap
-            ),
+        (colors, active), _, t = TRANSPORTS["count"].run(
+            (random_color_trial_proto, part.alice_graph, d + 1, Stream.from_seed(seed),
+             cap, history),
+            (random_color_trial_proto, part.bob_graph, d + 1, Stream.from_seed(seed),
+             cap),
         )
         return history, colors, active, t
 
@@ -46,13 +44,10 @@ class TestActiveHistory:
 
         def run(with_history):
             history = [] if with_history else None
-            (colors, active), _, t = run_protocol(
-                random_color_trial_party(
-                    part.alice_graph, 7, Stream.from_seed(9), None, history
-                ),
-                random_color_trial_party(
-                    part.bob_graph, 7, Stream.from_seed(9), None
-                ),
+            (colors, active), _, t = TRANSPORTS["count"].run(
+                (random_color_trial_proto, part.alice_graph, 7, Stream.from_seed(9),
+                 None, history),
+                (random_color_trial_proto, part.bob_graph, 7, Stream.from_seed(9), None),
             )
             return colors, active, t.total_bits, t.rounds
 

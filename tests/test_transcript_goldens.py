@@ -1,9 +1,9 @@
 """Pinned transcript golden digests for every smoke scenario × transport.
 
-The comm layer's one hard contract is that all three transports produce
+The comm layer's one hard contract is that both transports produce
 bit-for-bit identical transcripts — and that refactors of the comm
-machinery (pooling, interning, segment accounting) change *nothing* about
-the recorded schedule.  The parity suite checks transports against each
+machinery (pooling, segment accounting, the wire itself) change *nothing*
+about the recorded schedule.  The parity suite checks transports against each
 other, which catches relative divergence but not a refactor that shifts
 every transport the same way.  These goldens pin the absolute contents:
 sha256 digests of each scenario's canonical transcript serialization
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.comm import TRANSPORTS
+from repro.comm import TRANSPORTS, Transcript, Transport
 from repro.core import (
     run_edge_coloring,
     run_vertex_coloring,
@@ -107,8 +107,8 @@ AGGREGATE = {
 }
 
 #: Digests including the per-round log, pinning the round-by-round
-#: schedule.  Only the log-keeping transports (lockstep, strict) can
-#: reproduce these; the count transport deliberately keeps no log.
+#: schedule.  Only a log-keeping transcript reproduces these: strict's,
+#: or one handed to the count transport, whose own keeps no log.
 WITH_LOG = {
     "vertex/regular(d=8,n=64)/random/set":
         "8de1c7e5430f8744fc6fbc4e1a085cfc8674783606e4662369eb797664858cd1",
@@ -180,7 +180,7 @@ def _regenerate():  # pragma: no cover - maintenance helper
         for scenario in smoke_scenarios():
             part = build_partition(scenario)
             result = DRIVERS[scenario.protocol](
-                part, scenario.effective_seed, "lockstep"
+                part, scenario.effective_seed, "strict"
             )
             digest = result.transcript.fingerprint(with_log=with_log)
             print(f'    "{scenario.name}":\n        "{digest}",')
@@ -213,10 +213,25 @@ def test_transcript_matches_golden_on_every_transport(scenario):
             assert len(transcript.round_log) == transcript.rounds
 
 
+class _LoggedCount(Transport):
+    """The count transport with the per-round log switched on."""
+
+    def new_transcript(self) -> Transcript:
+        return Transcript()
+
+
+@pytest.mark.parametrize("scenario", smoke_scenarios(), ids=lambda s: s.name)
+def test_count_wire_with_the_log_on_matches_the_with_log_golden(scenario):
+    """The log follows the transcript: count + log reproduces ``WITH_LOG``."""
+    part = build_partition(scenario)
+    result = DRIVERS[scenario.protocol](
+        part, scenario.effective_seed, _LoggedCount()
+    )
+    assert result.transcript.fingerprint(with_log=True) == WITH_LOG[scenario.name]
+
+
 def test_fingerprint_is_accumulation_order_invariant():
     """Phases hash sorted by name, so attribution order cannot leak in."""
-    from repro.comm.ledger import Transcript
-
     a = Transcript(record_log=False)
     a.record_segment(3, 4, 2, 3, ("p", "q"))
     a.record_segment(1, 0, 1, 1, ("r",))
@@ -229,8 +244,6 @@ def test_fingerprint_is_accumulation_order_invariant():
 def test_fingerprint_with_log_pins_the_schedule():
     """Same aggregates, different round profile → same aggregate digest,
     different with-log digest."""
-    from repro.comm.ledger import Transcript
-
     a = Transcript()
     a.record_round(2, 0)
     a.record_round(1, 3)

@@ -1,11 +1,11 @@
-"""Transport parity: all transports produce bit-for-bit identical transcripts.
+"""Transport parity: both transports produce bit-for-bit identical transcripts.
 
 A transport is only admissible if it is *observationally equivalent* on
 the measurement instrument: same colorings, same transcript totals, same
 per-phase stats, same round counts, on the same instances, under the same
 seeds.  These tests run every registered scenario (smoke params) and the
-full protocol/baseline stack across the lockstep, count-only, and strict
-transports and compare everything — mirroring the backend parity suite.
+full protocol/baseline stack on the count and strict transports and
+compare everything — mirroring the backend parity suite.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def test_every_registered_scenario_is_transport_invariant(scenario):
     records = {
         t: run_scenario(scenario.with_transport(t)) for t in ALL_TRANSPORTS
     }
-    reference = records["lockstep"]
+    reference = records["count"]
     volatile = {"scenario", "transport", "wall_time_s"}
     for transport, record in records.items():
         assert record["valid"], (scenario.name, transport)
@@ -77,22 +77,23 @@ def test_vertex_coloring_transport_parity():
     results = {
         t: run_vertex_coloring(part, seed=3, transport=t) for t in ALL_TRANSPORTS
     }
-    reference = results["lockstep"]
+    reference = results["count"]
     for transport, result in results.items():
         assert result.colors == reference.colors, transport
         assert result.transcript.summary() == reference.transcript.summary()
         assert _phase_view(result.transcript) == _phase_view(reference.transcript)
         assert result.leftover_size == reference.leftover_size
     # The count transport must skip the per-round log but nothing else.
-    assert results["count"].transcript.round_log == []
-    assert len(reference.transcript.round_log) == reference.rounds
+    assert reference.transcript.round_log == []
+    strict = results["strict"].transcript
+    assert len(strict.round_log) == strict.rounds
 
 
 def test_edge_coloring_transport_parity():
     rng = random.Random(5)
     part = partition_random(random_regular_graph(40, 9, rng), rng)
     results = {t: run_edge_coloring(part, transport=t) for t in ALL_TRANSPORTS}
-    reference = results["lockstep"]
+    reference = results["count"]
     for transport, result in results.items():
         assert result.colors == reference.colors, transport
         assert result.transcript.summary() == reference.transcript.summary()
@@ -103,7 +104,7 @@ def test_small_delta_edge_coloring_transport_parity():
     rng = random.Random(7)
     part = partition_random(random_regular_graph(24, 4, rng), rng)
     results = {t: run_edge_coloring(part, transport=t) for t in ALL_TRANSPORTS}
-    reference = results["lockstep"]
+    reference = results["count"]
     for result in results.values():
         assert result.colors == reference.colors
         assert result.transcript.summary() == reference.transcript.summary()
@@ -133,7 +134,7 @@ def test_zero_comm_transport_parity():
 def test_baseline_transport_parity(runner):
     part = _partition(n=32, d=5, seed=23)
     results = {t: runner(part, transport=t) for t in ALL_TRANSPORTS}
-    reference = results["lockstep"]
+    reference = results["count"]
     for transport, result in results.items():
         assert result.colors == reference.colors, transport
         assert result.transcript.summary() == reference.transcript.summary()
@@ -154,7 +155,7 @@ def test_wstreaming_reduction_transport_parity(factory):
         t: weaker_from_streaming(part, factory(part), transport=t)
         for t in ALL_TRANSPORTS
     }
-    reference = results["lockstep"]
+    reference = results["count"]
     for transport, result in results.items():
         assert result.colors == reference.colors, transport
         assert result.transcript.summary() == reference.transcript.summary()
