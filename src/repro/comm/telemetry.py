@@ -1,11 +1,12 @@
 """Gated hot-path counters for the comm layer.
 
-The comm hot loop (the pooled ``parallel`` driver) is a path the bench
-guards protect, so it cannot afford observer indirection — not even a
-method call — per event.  This module is the compromise: a couple of
-bare module-level integers behind a single ``enabled`` flag.  The
-instrumented site reads ``telemetry.enabled`` (one attribute load and a
-branch) and, only when observability is on, bumps the counters in place.
+The comm hot loops (the pooled ``parallel`` driver and the batched
+Color-Sample fan-out) are paths the bench guards protect, so they
+cannot afford observer indirection — not even a method call — per
+event.  This module is the compromise: a few bare module-level
+integers behind a single ``enabled`` flag.  Each instrumented site
+reads ``telemetry.enabled`` (one attribute load and a branch) and, only
+when observability is on, bumps the counters in place.
 Disabled, the added cost is that one predictable branch; nothing is
 allocated either way.
 
@@ -32,6 +33,14 @@ enabled = False
 pool_reused = 0
 #: ``parallel`` batch buffers freshly allocated (freelist empty/short).
 pool_allocated = 0
+#: Color-Sample fan-outs run (one per ``color_sample_batch_proto`` call,
+#: per party: a two-party run counts each fan-out twice).
+color_sample_fanouts = 0
+#: Color-Sample instances across those fan-outs.
+color_sample_instances = 0
+#: Fan-outs that ran as the numpy lockstep kernel rather than falling
+#: back to one ``color_sample_proto`` generator per instance.
+color_sample_kernel_fanouts = 0
 
 
 def enable() -> None:
@@ -49,10 +58,20 @@ def disable() -> None:
 def reset() -> None:
     """Zero every counter (does not touch ``enabled``)."""
     global pool_reused, pool_allocated
+    global color_sample_fanouts, color_sample_instances, color_sample_kernel_fanouts
     pool_reused = 0
     pool_allocated = 0
+    color_sample_fanouts = 0
+    color_sample_instances = 0
+    color_sample_kernel_fanouts = 0
 
 
 def snapshot() -> dict[str, float]:
     """The counters as a plain dict."""
-    return {"pool_reused": pool_reused, "pool_allocated": pool_allocated}
+    return {
+        "pool_reused": pool_reused,
+        "pool_allocated": pool_allocated,
+        "color_sample_fanouts": color_sample_fanouts,
+        "color_sample_instances": color_sample_instances,
+        "color_sample_kernel_fanouts": color_sample_kernel_fanouts,
+    }

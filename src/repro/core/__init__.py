@@ -1,6 +1,6 @@
 """The paper's contribution: round- and communication-efficient coloring protocols."""
 
-from .color_sample import color_sample_proto
+from .color_sample import color_sample_batch_proto, color_sample_proto
 from .cover_colors import CoverMessage, build_cover_message, decode_cover_message
 from .d1lc import d1lc_proto, sample_list_size, sparsity_threshold
 from .edge_coloring import (
@@ -38,6 +38,7 @@ __all__ = [
     "VertexColoringResult",
     "WeakerEdgeColoringResult",
     "build_cover_message",
+    "color_sample_batch_proto",
     "color_sample_proto",
     "d1lc_proto",
     "decode_cover_message",

@@ -12,19 +12,44 @@ favor any position pattern and the permutation is uniform, the returned
 color is uniform over the available colors (Lemma 3.1), and it is common
 knowledge (i).  Expected cost is ``O(log²((Δ+1)/k))`` bits over
 ``O(log((Δ+1)/k))`` rounds (ii–iii), worst case ``O(log² Δ)`` / ``O(log Δ)``.
+
+:func:`color_sample_proto` is one instance and the reference.
+:func:`color_sample_batch_proto` runs a whole fan-out of instances (one
+Random-Color-Trial iteration, one D1LC sparsification) as one protocol:
+the sum of the instances' bits and the max of their rounds, with the
+saturated path as a numpy lockstep that sends one message per round.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Set
+from collections.abc import Sequence, Set
+from itertools import chain
 
-from ..comm.bits import uint_cost
+from ..comm import telemetry as _telemetry
+from ..comm.bits import BitWriter, uint_cost
 from ..comm.transport import Channel
 from ..rand import Permutation, Stream
+from ..rand import kernels as _kernels
+from ..rand.perm import forward_tables
 from .slack import SAMPLING_CONSTANT, randomized_slack_proto
 
-__all__ = ["color_sample_proto"]
+__all__ = ["color_sample_batch_proto", "color_sample_proto"]
+
+_EXHAUSTED = (
+    "Algorithm 3 exhausted its guesses; the k-Slack-Int precondition "
+    "|X|+|Y| <= m-1 must have been violated"
+)
+
+
+def _check_palette(own_used: Set[int], num_colors: int) -> None:
+    """Reject used colors outside ``[1..num_colors]``."""
+    for c in own_used:
+        if not 1 <= c <= num_colors:
+            bad = sorted(x for x in own_used if not 1 <= x <= num_colors)
+            raise ValueError(
+                f"used colors outside palette [1..{num_colors}]: {bad[:3]}"
+            )
 
 
 def color_sample_proto(
@@ -49,12 +74,7 @@ def color_sample_proto(
     """
     if num_colors < 1:
         raise ValueError(f"palette must be non-empty, got {num_colors}")
-    for c in own_used:
-        if not 1 <= c <= num_colors:
-            bad = sorted(x for x in own_used if not 1 <= x <= num_colors)
-            raise ValueError(
-                f"used colors outside palette [1..{num_colors}]: {bad[:3]}"
-            )
+    _check_palette(own_used, num_colors)
 
     # Public uniform relabeling of the palette: position -> color.  Only
     # the |own_used| inverse lookups and one final forward lookup are
@@ -72,13 +92,13 @@ def color_sample_proto(
         # Saturated fast path: Algorithm 3's very first guess k̃ = m has
         # p = min(1, C·m/m²) = 1, so the sample is the whole ground range
         # (drawn without touching the tape) and every later guess only
-        # saturates harder.  The entire run — the count exchange plus the
-        # Lemma A.1 bisection — is inlined into this single generator
-        # frame: the per-round resume otherwise traverses the
-        # color-sample → Algorithm-3 → binary-search yield-from chain,
-        # which is the dominant simulation cost of the coloring protocols
-        # (every (Δ+1)-coloring instance has m = Δ+1 ≤ C).  The sends are
-        # bit-for-bit those of :func:`randomized_slack_proto`.
+        # saturates harder.  The count exchange and the Lemma A.1
+        # bisection are inlined into this one generator frame instead of
+        # resuming the color-sample → Algorithm-3 → binary-search chain
+        # every round; the sends are bit-for-bit those of
+        # :func:`randomized_slack_proto`.  Whole fan-outs of this path
+        # run as one array lockstep in :func:`color_sample_batch_proto`,
+        # which must match it instance for instance.
         m = num_colors
         post = ch.post
         own_count = len(own_positions)  # positions always lie in [0, m)
@@ -89,10 +109,7 @@ def color_sample_proto(
             if own_count + peer_count < m:
                 break
             if k_tilde == 1:
-                raise RuntimeError(
-                    "Algorithm 3 exhausted its guesses; the k-Slack-Int "
-                    "precondition |X|+|Y| <= m-1 must have been violated"
-                )
+                raise RuntimeError(_EXHAUSTED)
             k_tilde //= 2
         own_pos = sorted(own_positions)
         lo, hi = 0, m
@@ -110,3 +127,161 @@ def color_sample_proto(
         ch, num_colors, own_positions, pub, constant=constant
     )
     return perm[position] + 1
+
+
+def color_sample_batch_proto(
+    ch: Channel,
+    num_colors: int,
+    used_sets: Sequence[Set[int]],
+    streams: Sequence[Stream],
+    perms: Sequence[Permutation],
+    sampling_constant: int | None = None,
+):
+    """One party's side of ``K`` parallel Color-Sample instances.
+
+    Instance ``i`` is ``color_sample_proto(ch, num_colors, used_sets[i],
+    streams[i], sampling_constant, perms[i])``, where ``perms[i]`` was
+    drawn from ``streams[i]`` (as :func:`repro.rand.permutations` does).
+    The fan-out costs the sum of the instances' bits and the max of their
+    rounds, as under :meth:`Channel.parallel`.  Returns ``{i: color}`` in
+    the order the instances finish (by round, then by ``i``): the dict
+    ``ch.parallel`` returns for the keys ``0..K-1``.  That order is kept
+    because callers fill sets in it and D1LC's list-coloring solver
+    draws from those sets in iteration order.
+
+    When every instance takes the saturated path (``sampling_constant``,
+    default 150, is at least ``m``), numpy is available and the palette is
+    in the range :func:`~repro.rand.permutations` builds tables for in
+    one batch (``12 < m <= 96``), the fan-out runs in lockstep over
+    ``K × m`` arrays: one message of the ``K`` counts, then one message
+    per Lemma A.1 bisection round holding the live instances' left-half
+    counts in instance order.  Each message declares the sum of the
+    instances' widths, so bits, rounds, messages and the per-round log
+    are the reference fan-out's.  Otherwise (no numpy, Algorithm 3's
+    sampling path, Lehmer or Feistel palettes) this is that reference
+    fan-out: ``ch.parallel`` over ``color_sample_proto``.
+
+    A used color outside ``[1..m]`` raises ``ValueError`` before any
+    round.  If some instance has ``|A| + |B| >= m`` (no free color is
+    guaranteed), the lockstep path raises ``RuntimeError`` on both
+    parties right after its count round.  The reference repeats that
+    count round once per remaining guess of Algorithm 3 before it raises
+    the same error, so the lockstep path fails rounds sooner.
+    """
+    m = num_colors
+    if m < 1:
+        raise ValueError(f"palette must be non-empty, got {m}")
+    k = len(used_sets)
+    if len(streams) != k or len(perms) != k:
+        raise ValueError(
+            f"{k} used sets, {len(streams)} streams and {len(perms)} "
+            "permutations: one of each per instance"
+        )
+    if not k:
+        return {}
+    constant = SAMPLING_CONSTANT if sampling_constant is None else sampling_constant
+    np = _kernels._np
+    tables = None
+    if np is not None and constant >= m:
+        tables = forward_tables(perms, m)
+    if _telemetry.enabled:
+        _telemetry.color_sample_fanouts += 1
+        _telemetry.color_sample_instances += k
+        if tables is not None:
+            _telemetry.color_sample_kernel_fanouts += 1
+    if tables is None:
+        return (
+            yield from ch.parallel(
+                {
+                    i: (color_sample_proto, m, used, stream, sampling_constant, perm)
+                    for i, (used, stream, perm) in enumerate(
+                        zip(used_sets, streams, perms)
+                    )
+                }
+            )
+        )
+    return (yield from _saturated_lockstep(ch, np, m, used_sets, tables))
+
+
+def _counts_codec(bounds):
+    """Strict codec of one lockstep message: count ``j`` lies in ``[0, bounds[j]]``.
+
+    Each count is encoded in its own width, recomputed here from the
+    bounds, so a declared total that is off by any bit fails the check.
+    """
+
+    def encode(counts):
+        writer = BitWriter()
+        for count, bound in zip(counts.tolist(), bounds.tolist()):
+            writer.write_uint(count, uint_cost(bound))
+        return writer.to_bits()
+
+    return encode
+
+
+def _saturated_lockstep(ch: Channel, np, m: int, used_sets, tables: bytes):
+    """The saturated path of ``K`` Color-Samples as one array protocol.
+
+    Per instance this is exactly :func:`color_sample_proto`'s saturated
+    branch: count round, then bisection of ``[0, m)`` on the permuted
+    positions, returning ``perm[lo] + 1``.  Every table is ``uint8``
+    (``m <= 96``: positions, counts and prefix sums all fit).
+    """
+    k = len(used_sets)
+    rows = np.arange(k)
+    forward = np.frombuffer(tables, dtype=np.uint8).reshape(k, m)
+    sizes = np.fromiter(map(len, used_sets), dtype=np.intp, count=k)
+    colors = np.fromiter(
+        chain.from_iterable(used_sets), dtype=np.intp, count=int(sizes.sum())
+    )
+    if colors.size and (colors.min() < 1 or colors.max() > m):
+        for used in used_sets:
+            _check_palette(used, m)
+    # Each instance's used colors as a row mask over its permuted positions.
+    inverse = np.empty((k, m), dtype=np.uint8)
+    inverse[rows[:, None], forward] = np.arange(m, dtype=np.uint8)
+    owner = np.repeat(rows, sizes)
+    own = np.zeros((k, m), dtype=np.uint8)
+    own[owner, inverse[owner, colors - 1]] = 1
+    # prefix[i, p]: instance i's own positions below p.
+    prefix = np.zeros((k, m + 1), dtype=np.uint8)
+    np.cumsum(own, axis=1, dtype=np.uint8, out=prefix[:, 1:])
+    flat = prefix.reshape(-1)
+    post = ch.post
+
+    own_count = prefix[:, m].astype(np.intp)
+    peer_count = yield post(
+        k * uint_cost(m), own_count, _counts_codec(np.full(k, m))
+    )
+    if (own_count + peer_count >= m).any():
+        raise RuntimeError(_EXHAUSTED)
+
+    # Lemma A.1 in lockstep: the arrays hold the live instances, in
+    # instance order; an instance leaves once its interval is one position.
+    bit_length = np.array([x.bit_length() for x in range(m + 1)], dtype=np.intp)
+    live = rows
+    base = rows * (m + 1)
+    lo = np.zeros(k, dtype=np.intp)
+    hi = np.full(k, m, dtype=np.intp)
+    final = np.empty(k, dtype=np.intp)
+    finished = []
+    while live.size:
+        span = (hi - lo) >> 1
+        mid = lo + span
+        own_left = flat[base + mid].astype(np.intp) - flat[base + lo]
+        peer_left = yield post(
+            int(bit_length[span].sum()), own_left, _counts_codec(span)
+        )
+        left = span - own_left - peer_left >= 1
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        done = hi - lo <= 1
+        if done.any():
+            leaving = live[done]
+            finished.append(leaving)
+            final[leaving] = lo[done]
+            keep = ~done
+            live, base, lo, hi = live[keep], base[keep], lo[keep], hi[keep]
+    order = np.concatenate(finished)
+    picks = forward[order, final[order]].astype(np.intp) + 1
+    return dict(zip(order.tolist(), picks.tolist()))

@@ -6,10 +6,11 @@ for each vertex ``v`` Alice holds a list ``Ψ_A(v) ⊆ [m]`` and Bob holds
 ``|Ψ(v)| ≥ deg(v) + 1``.  The protocol:
 
 1. *Sparsify* (Proposition 3.2): for every vertex run ``Θ(log² n)``
-   parallel Color-Sample instances over the complements of the lists to
-   draw ``L(v) ⊆ Ψ(v)``; drop every edge whose endpoints' samples are
-   disjoint (any proper coloring from the ``L``-lists is then automatically
-   proper on the dropped edges).
+   parallel Color-Sample instances over the complements of the lists (one
+   :func:`~repro.core.color_sample.color_sample_batch_proto` fan-out over
+   every vertex's slots) to draw ``L(v) ⊆ Ψ(v)``; drop every edge whose
+   endpoints' samples are disjoint (any proper coloring from the
+   ``L``-lists is then automatically proper on the dropped edges).
 2. *Gather*: Bob ships his surviving edges to Alice; whp the sparsified
    graph ``H`` has ``O(n log² n)`` edges.
 3. *Solve*: Alice list-colors ``H`` from the ``L``-lists (randomized greedy
@@ -40,7 +41,7 @@ from ..rand import Stream, permutations
 from ..coloring.greedy import greedy_d1lc_coloring
 from ..coloring.list_coloring import solve_list_coloring
 from ..graphs.graph import Graph
-from .color_sample import color_sample_proto
+from .color_sample import color_sample_batch_proto
 from .probes import surviving_edges
 
 __all__ = ["d1lc_proto", "sample_list_size", "sparsity_threshold"]
@@ -117,27 +118,24 @@ def d1lc_proto(
     m = num_colors
     palette = set(range(1, m + 1))
 
-    # Step 1: palette sparsification via parallel Color-Sample.
-    # Every (v, j) slot's palette permutation is drawn up front, in one
-    # batch over the whole fan-out.
+    # Step 1: palette sparsification via one Color-Sample fan-out over
+    # every (v, j) slot, with all the palette permutations drawn up front
+    # in one batch.  Samples join L(v) in the order the instances finish.
     ell = sample_list_size(n_active)
-    slots = []
+    owners = []
     streams = []
     for v in active:
         v_base = pub.derive("d1lc", v)
         for j in range(ell):
-            slots.append((v, j))
+            owners.append(v)
             streams.append(v_base.derive(j))
     complements = {v: palette - set(own_lists[v]) for v in active}
-    # Spec tuples: ch.parallel calls color_sample_proto(sub, ...).
-    samplers = {
-        slot: (color_sample_proto, m, complements[slot[0]], stream, None, perm)
-        for slot, stream, perm in zip(slots, streams, permutations(streams, m))
-    }
-    draws = yield from ch.parallel(samplers)
+    draws = yield from color_sample_batch_proto(
+        ch, m, [complements[v] for v in owners], streams, permutations(streams, m)
+    )
     sampled: dict[int, set[int]] = {v: set() for v in active}
-    for (v, _j), color in draws.items():
-        sampled[v].add(color)
+    for i, color in draws.items():
+        sampled[owners[i]].add(color)
 
     # Step 2: locally drop own edges with disjoint sampled lists (one int
     # bitmask per vertex, one AND per edge).

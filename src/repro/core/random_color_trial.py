@@ -2,7 +2,8 @@
 
 Each iteration, every *active* (uncolored) vertex flips a public coin; awake
 vertices sample an available color uniformly via parallel Color-Sample
-instances (sharing rounds: the iteration's round cost is the max over the
+instances, run as one :func:`~repro.core.color_sample.color_sample_batch_proto`
+fan-out (sharing rounds: the iteration's round cost is the max over the
 instances, its bit cost the sum), then the parties exchange one confirmation
 bit per awake vertex reporting whether any of *their* neighbors tried the
 same color.  A vertex keeps its color iff both sides confirm.
@@ -24,7 +25,10 @@ from ..comm.bits import bitmap_cost
 from ..comm.transport import Channel
 from ..rand import Stream, permutations
 from ..graphs.graph import Graph
-from .color_sample import color_sample_proto
+from .color_sample import color_sample_batch_proto
+# The reference stays importable from here: perfbench's tracer tests look
+# it up through this module.
+from .color_sample import color_sample_proto  # noqa: F401
 from .probes import confirmation_bits
 
 __all__ = [
@@ -80,25 +84,18 @@ def random_color_trial_proto(
         if not awake:
             continue
 
-        # Spec tuples, not one closure per vertex: ch.parallel invokes
-        # (proto, args...) as proto(sub, *args) directly.  Every instance's
-        # palette permutation is drawn up front, in one batch.
+        # One Color-Sample fan-out over the awake vertices; every
+        # instance's palette permutation is drawn up front, in one batch.
         iter_base = pub.derive("rct", iteration)
         streams = [iter_base.derive(v) for v in awake]
-        samplers = {
-            v: (
-                color_sample_proto,
-                num_colors,
-                own_graph.neighbor_colors(v, colors),
-                stream,
-                None,
-                perm,
-            )
-            for v, stream, perm in zip(
-                awake, streams, permutations(streams, num_colors)
-            )
-        }
-        chosen: dict[int, int] = yield from ch.parallel(samplers)
+        picks = yield from color_sample_batch_proto(
+            ch,
+            num_colors,
+            [own_graph.neighbor_colors(v, colors) for v in awake],
+            streams,
+            permutations(streams, num_colors),
+        )
+        chosen = {awake[i]: color for i, color in picks.items()}
 
         # One confirmation bit per awake vertex: "no conflict on my side" —
         # a color-class mask sweep over the whole awake neighborhood.

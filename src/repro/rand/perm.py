@@ -32,6 +32,7 @@ __all__ = [
     "FeistelPermutation",
     "Permutation",
     "SmallPermutation",
+    "forward_tables",
     "make_permutation",
     "permutations",
     "SMALL_THRESHOLD",
@@ -282,3 +283,25 @@ def permutations(streams: Sequence, m: int) -> list[Permutation]:
         for perm, table in zip(perms, tables):
             perm._forward = table
     return perms
+
+
+def forward_tables(perms: Sequence[Permutation], m: int) -> bytes | None:
+    """Every permutation's forward table, joined into one byte matrix.
+
+    Row ``i`` of the returned ``len(perms) × m`` matrix is
+    ``perms[i].materialize()``: the ``bytes`` row :func:`permutations`
+    built in its batch kernel where there is one (a batch of at least
+    :data:`~repro.rand.kernels.PERM_MIN_BATCH`), else the table built
+    here.  ``None`` unless ``m`` is in the range that kernel batches
+    (``12 < m <= SMALL_THRESHOLD``, so every entry fits one byte) and
+    every entry is a size-``m`` :class:`SmallPermutation`.
+    """
+    if not _LEHMER_MAX < m <= SMALL_THRESHOLD:
+        return None
+    tables = []
+    for perm in perms:
+        if type(perm) is not SmallPermutation or perm.m != m:
+            return None
+        forward = perm._forward
+        tables.append(forward if type(forward) is bytes else bytes(perm.materialize()))
+    return b"".join(tables)

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.comm import TRANSPORTS, telemetry
+from repro.core.color_sample import color_sample_batch_proto
 from repro.engine import run_scenario, Scenario
 from repro.obs import (
     Counter,
@@ -27,6 +28,7 @@ from repro.obs import (
     read_trace,
     summarize_phases,
 )
+from repro.rand import Stream, kernels, permutations
 
 
 def test_counter_monotone():
@@ -117,7 +119,48 @@ def test_comm_telemetry_counts_under_observing(tmp_path):
     document = json.loads((tmp_path / "metrics.json").read_text())
     # Per party: the first fan-out allocates both buffers and returns
     # one; each later fan-out reuses that one and allocates a spare.
-    assert document["comm"] == {"pool_reused": 2 * 2, "pool_allocated": 2 * 4}
+    assert document["comm"] == {
+        "pool_reused": 2 * 2,
+        "pool_allocated": 2 * 4,
+        "color_sample_fanouts": 0,
+        "color_sample_instances": 0,
+        "color_sample_kernel_fanouts": 0,
+    }
+
+
+def _color_sample_fan_outs(ch):
+    """20 saturated instances at m=17, then 5 on Algorithm 3's sampling path."""
+    for m, k, constant in ((17, 20, None), (17, 5, 3)):
+        streams = [Stream.from_seed(k).derive(i) for i in range(k)]
+        yield from color_sample_batch_proto(
+            ch, m, [set()] * k, streams, permutations(streams, m), constant
+        )
+
+
+def test_color_sample_telemetry_dead_when_no_observer_installed():
+    telemetry.reset()
+    TRANSPORTS["count"].run((_color_sample_fan_outs,), (_color_sample_fan_outs,))
+    assert telemetry.color_sample_fanouts == 0
+    assert telemetry.color_sample_instances == 0
+    assert telemetry.color_sample_kernel_fanouts == 0
+
+
+@pytest.mark.parametrize("numpy_on", [True, False])
+def test_color_sample_telemetry_counts_under_observing(tmp_path, monkeypatch, numpy_on):
+    if numpy_on and not kernels.available():
+        pytest.skip("numpy kernels unavailable")
+    if not numpy_on:
+        monkeypatch.setattr(kernels, "_np", None)
+    with observing(metrics=tmp_path / "metrics.json"):
+        TRANSPORTS["count"].run(
+            (_color_sample_fan_outs,), (_color_sample_fan_outs,)
+        )
+    comm = json.loads((tmp_path / "metrics.json").read_text())["comm"]
+    # Per party: two fan-outs of 25 instances; only the saturated one
+    # runs as the lockstep kernel.
+    assert comm["color_sample_fanouts"] == 2 * 2
+    assert comm["color_sample_instances"] == 2 * 25
+    assert comm["color_sample_kernel_fanouts"] == (2 if numpy_on else 0)
 
 
 def _smoke_scenario():
@@ -153,6 +196,9 @@ def test_observed_counters_equal_ledger_totals(tmp_path):
     phases = summarize_phases(read_trace(trace_path))
     assert sum(p["bits"] for p in phases) == record["total_bits"]
     assert sum(p["rounds"] for p in phases) == record["rounds"]
+    # Random-Color-Trial's Color-Sample fan-outs are counted too.
+    comm = document["comm"]
+    assert comm["color_sample_instances"] >= comm["color_sample_fanouts"] > 0
     # And the wall-clock store is the (only) home of the elapsed time.
     assert "wall_time_s" not in record
     assert WALL_CLOCK.last(scenario.name) is not None
