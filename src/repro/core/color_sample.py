@@ -135,12 +135,11 @@ def color_sample_batch_proto(
     used_sets: Sequence[Set[int]],
     streams: Sequence[Stream],
     perms: Sequence[Permutation],
-    sampling_constant: int | None = None,
 ):
     """One party's side of ``K`` parallel Color-Sample instances.
 
     Instance ``i`` is ``color_sample_proto(ch, num_colors, used_sets[i],
-    streams[i], sampling_constant, perms[i])``, where ``perms[i]`` was
+    streams[i], perm=perms[i])``, where ``perms[i]`` was
     drawn from ``streams[i]`` (as :func:`repro.rand.permutations` does).
     The fan-out costs the sum of the instances' bits and the max of their
     rounds, as under :meth:`Channel.parallel`.  Returns ``{i: color}`` in
@@ -149,17 +148,17 @@ def color_sample_batch_proto(
     because callers fill sets in it and D1LC's list-coloring solver
     draws from those sets in iteration order.
 
-    When every instance takes the saturated path (``sampling_constant``,
-    default 150, is at least ``m``), numpy is available and the palette is
-    in the range :func:`~repro.rand.permutations` builds tables for in
-    one batch (``12 < m <= 96``), the fan-out runs in lockstep over
+    When numpy is available and the palette is in the range
+    :func:`~repro.rand.permutations` builds tables for in one batch
+    (``12 < m <= 96``, so every instance takes the saturated path, as
+    ``m <= C = 150``), the fan-out runs in lockstep over
     ``K × m`` arrays: one message of the ``K`` counts, then one message
     per Lemma A.1 bisection round holding the live instances' left-half
     counts in instance order.  Each message declares the sum of the
     instances' widths, so bits, rounds, messages and the per-round log
-    are the reference fan-out's.  Otherwise (no numpy, Algorithm 3's
-    sampling path, Lehmer or Feistel palettes) this is that reference
-    fan-out: ``ch.parallel`` over ``color_sample_proto``.
+    are the reference fan-out's.  Otherwise (no numpy, Lehmer or Feistel
+    palettes) this is that reference fan-out: ``ch.parallel`` over
+    ``color_sample_proto``.
 
     A used color outside ``[1..m]`` raises ``ValueError`` before any
     round.  If some instance has ``|A| + |B| >= m`` (no free color is
@@ -179,11 +178,10 @@ def color_sample_batch_proto(
         )
     if not k:
         return {}
-    constant = SAMPLING_CONSTANT if sampling_constant is None else sampling_constant
+    # Tables exist only for m <= 96, below SAMPLING_CONSTANT: with them,
+    # every instance takes the saturated path the lockstep runs.
     np = _kernels._np
-    tables = None
-    if np is not None and constant >= m:
-        tables = forward_tables(perms, m)
+    tables = None if np is None else forward_tables(perms, m)
     if _telemetry.enabled:
         _telemetry.color_sample_fanouts += 1
         _telemetry.color_sample_instances += k
@@ -193,7 +191,7 @@ def color_sample_batch_proto(
         return (
             yield from ch.parallel(
                 {
-                    i: (color_sample_proto, m, used, stream, sampling_constant, perm)
+                    i: (color_sample_proto, m, used, stream, None, perm)
                     for i, (used, stream, perm) in enumerate(
                         zip(used_sets, streams, perms)
                     )

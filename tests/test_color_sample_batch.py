@@ -51,13 +51,13 @@ def _streams(seed: int, k: int):
     return [base.derive(i) for i in range(k)]
 
 
-def _reference(ch, m, used_sets, seed, constant):
+def _reference(ch, m, used_sets, seed):
     streams = _streams(seed, len(used_sets))
     perms = permutations(streams, m)
     return (
         yield from ch.parallel(
             {
-                i: (color_sample_proto, m, used, stream, constant, perm)
+                i: (color_sample_proto, m, used, stream, None, perm)
                 for i, (used, stream, perm) in enumerate(
                     zip(used_sets, streams, perms)
                 )
@@ -66,22 +66,22 @@ def _reference(ch, m, used_sets, seed, constant):
     )
 
 
-def _batched(ch, m, used_sets, seed, constant):
+def _batched(ch, m, used_sets, seed):
     streams = _streams(seed, len(used_sets))
     return (
         yield from color_sample_batch_proto(
-            ch, m, used_sets, streams, permutations(streams, m), constant
+            ch, m, used_sets, streams, permutations(streams, m)
         )
     )
 
 
-def _run(proto, transport, m, alice, bob, seed, constant):
+def _run(proto, transport, m, alice, bob, seed):
     """Both parties' results and the transcript, with telemetry counted."""
     telemetry.reset()
     telemetry.enable()
     try:
         a, b, transcript = TRANSPORTS[transport].run(
-            (proto, m, alice, seed, constant), (proto, m, bob, seed, constant)
+            (proto, m, alice, seed), (proto, m, bob, seed)
         )
     finally:
         telemetry.disable()
@@ -94,25 +94,22 @@ def _run(proto, transport, m, alice, bob, seed, constant):
 @given(
     seed=st.integers(0, 2**32 - 1),
     fill=st.floats(0.0, 1.0),
-    below=st.booleans(),
     numpy_on=st.booleans(),
 )
-def test_batch_matches_the_parallel_reference(m, k, seed, fill, below, numpy_on):
+def test_batch_matches_the_parallel_reference(m, k, seed, fill, numpy_on):
     if numpy_on and not kernels.available():
         numpy_on = False
-    constant = random.Random(seed).randint(1, m - 1) if below and m > 1 else None
     alice, bob = _instances(m, k, seed, fill)
-    saturated = constant is None or constant >= m
-    expect_kernel = numpy_on and saturated and 12 < m <= 96 and k >= 1
+    expect_kernel = numpy_on and 12 < m <= 96 and k >= 1
     with nullcontext() if numpy_on else kernels.disabled():
         # The strict reference pins the aggregate and the round log; the
         # two transports' aggregates agree (transport parity).
         want_a, want_b, want_t, _ = _run(
-            _reference, "strict", m, alice, bob, seed, constant
+            _reference, "strict", m, alice, bob, seed
         )
         for transport in TRANSPORTS:
             got_a, got_b, got_t, kernel_fanouts = _run(
-                _batched, transport, m, alice, bob, seed, constant
+                _batched, transport, m, alice, bob, seed
             )
             assert kernel_fanouts == (2 if expect_kernel else 0), "wrong dispatch"
             # Same picks, keyed by instance, in the same completion order.
@@ -185,8 +182,8 @@ def test_violated_slack_raises_runtime_error_on_both_parties_at_once(numpy_on):
     bob[7] = set(range(10, m + 1))
     with nullcontext() if numpy_on else kernels.disabled():
         raised = _raise_rounds(
-            _batched(Channel(), m, alice, 4, None),
-            _batched(Channel(), m, bob, 4, None),
+            _batched(Channel(), m, alice, 4),
+            _batched(Channel(), m, bob, 4),
         )
     assert raised[0] == raised[1]
     rnd, error = raised[0]
@@ -200,7 +197,7 @@ def test_violated_slack_raises_runtime_error_on_both_parties_at_once(numpy_on):
     with pytest.raises(RuntimeError) as excinfo:
         with nullcontext() if numpy_on else kernels.disabled():
             TRANSPORTS["count"].run(
-                (_batched, m, alice, 4, None), (_batched, m, bob, 4, None)
+                (_batched, m, alice, 4), (_batched, m, bob, 4)
             )
     assert type(excinfo.value) is RuntimeError
 
@@ -224,7 +221,7 @@ def test_under_declared_batched_message_fails_strict(monkeypatch, short_post):
     alice, bob = _instances(m, k, 1, 0.5)
     with pytest.raises(CodecMismatchError):
         TRANSPORTS["strict"].run(
-            (_batched, m, alice, 1, None), (_batched, m, bob, 1, None)
+            (_batched, m, alice, 1), (_batched, m, bob, 1)
         )
 
 

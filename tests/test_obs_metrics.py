@@ -129,11 +129,11 @@ def test_comm_telemetry_counts_under_observing(tmp_path):
 
 
 def _color_sample_fan_outs(ch):
-    """20 saturated instances at m=17, then 5 on Algorithm 3's sampling path."""
-    for m, k, constant in ((17, 20, None), (17, 5, 3)):
+    """20 instances at m=17, then 5 at m=7 (no batched tables below 13)."""
+    for m, k in ((17, 20), (7, 5)):
         streams = [Stream.from_seed(k).derive(i) for i in range(k)]
         yield from color_sample_batch_proto(
-            ch, m, [set()] * k, streams, permutations(streams, m), constant
+            ch, m, [set()] * k, streams, permutations(streams, m)
         )
 
 
@@ -156,8 +156,8 @@ def test_color_sample_telemetry_counts_under_observing(tmp_path, monkeypatch, nu
             (_color_sample_fan_outs,), (_color_sample_fan_outs,)
         )
     comm = json.loads((tmp_path / "metrics.json").read_text())["comm"]
-    # Per party: two fan-outs of 25 instances; only the saturated one
-    # runs as the lockstep kernel.
+    # Per party: two fan-outs of 25 instances; only the m=17 one runs as
+    # the lockstep kernel.
     assert comm["color_sample_fanouts"] == 2 * 2
     assert comm["color_sample_instances"] == 2 * 25
     assert comm["color_sample_kernel_fanouts"] == (2 if numpy_on else 0)
