@@ -35,16 +35,12 @@ Subcommands:
     The merged ``sweep.json`` is bit-for-bit a serial sweep's.
 
 ``bench``
-    Compare the set-based and bitset graph backends on the shared
-    medium benchmark workload (kernels + end-to-end protocols), under
-    ``--transport``; with ``--max-obs-overhead``, time Theorem 1 with
-    observability off and on instead, under that CI ceiling; with
-    ``--rand``, time the numpy kernels of ``repro.rand`` against the
-    pure-Python paths, with the ``--min-kernel-speedup`` CI floor; with
-    ``--graphs``, compare the graph *representations* (set / bitset /
-    csr) on a shared power-law edge list — build time, probe
-    throughput, and memory, with the ``--min-csr-speedup`` CI floor.  ``--json`` writes the rows to a
-    machine-readable file.
+    One of two CI micro-benchmarks: ``--max-obs-overhead`` times
+    Theorem 1 with observability off and on, under that ceiling;
+    ``--rand`` times the numpy kernels of ``repro.rand`` against the
+    pure-Python paths, with the ``--min-kernel-speedup`` floor.
+    ``--json`` writes the rows to a machine-readable file.  Whole-run
+    timing is ``perfbench``'s job.
 
 ``trace``
     Summarize or convert a trace file produced by ``--trace``: aggregate
@@ -76,9 +72,7 @@ from .analysis.tables import format_table
 from .engine import (
     Journal,
     MergeError,
-    backend_comparison,
     default_scenarios,
-    graphs_comparison,
     iter_scenarios,
     kernel_comparison,
     large_scenarios,
@@ -92,6 +86,7 @@ from .engine import (
     sweep,
     write_results,
 )
+from .graphs import GRAPH_BACKENDS
 from .obs import (
     observing,
     read_trace,
@@ -104,7 +99,7 @@ from .obs import (
 __all__ = ["main"]
 
 _TRANSPORT_CHOICES = ("count", "strict")
-_BACKEND_CHOICES = ("set", "bitset", "csr", "both")
+_BACKEND_CHOICES = (*GRAPH_BACKENDS, "both")
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -422,51 +417,28 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(dispatch_p)
 
     bench_p = sub.add_parser(
-        "bench", help="compare graph backends (or time obs, kernels, graphs)"
+        "bench", help="time observability overhead or the numpy kernels"
     )
     bench_p.add_argument(
         "--n",
         type=int,
-        default=None,
-        help="vertices (default 512; 100000 with --graphs; unused by --rand)",
+        default=512,
+        help="vertices (default 512; unused by --rand)",
     )
     bench_p.add_argument(
         "--degree",
         type=int,
-        default=None,
-        help=(
-            "degree (default 8 for the backend comparison, 10 — the E4 "
-            "workload — with --max-obs-overhead, 24 — the power-law "
-            "cap — with --graphs)"
-        ),
+        default=10,
+        help="degree (default 10, the E4 workload; unused by --rand)",
     )
     bench_p.add_argument("--seed", type=int, default=42, help="workload seed")
     bench_p.add_argument(
         "--repeat", type=int, default=5, help="timing repetitions (best-of)"
     )
     bench_p.add_argument(
-        "--transport",
-        choices=_TRANSPORT_CHOICES,
-        default="count",
-        help="comm transport for the protocol rows (default: count)",
-    )
-    bench_p.add_argument(
         "--rand",
         action="store_true",
-        help=(
-            "time the numpy kernels of repro.rand against the pure-Python "
-            "paths instead of comparing graph backends"
-        ),
-    )
-    bench_p.add_argument(
-        "--graphs",
-        action="store_true",
-        help=(
-            "compare graph *representations* (set / bitset / csr) on one "
-            "shared power-law edge list: build time, confirmation-probe "
-            "throughput, and tracemalloc memory — the million-vertex "
-            "backend-picking numbers"
-        ),
+        help="time the numpy kernels of repro.rand against the pure-Python paths",
     )
     bench_p.add_argument(
         "--json",
@@ -486,26 +458,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench_p.add_argument(
-        "--min-csr-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "(with --graphs) fail (exit 1) unless the csr backend beats "
-            "bitset by X on probe throughput OR by 10x on memory — the "
-            "sparse-backend CI regression guard"
-        ),
-    )
-    bench_p.add_argument(
         "--max-obs-overhead",
         type=float,
         default=None,
         metavar="PCT",
         help=(
             "time Theorem 1 on the E4 workload with observability off "
-            "and on instead of comparing graph backends, and fail "
-            "(exit 1) if the enabled run costs more than PCT%% over the "
-            "disabled one — the obs overhead ceiling"
+            "and on, and fail (exit 1) if the enabled run costs more than "
+            "PCT%% over the disabled one — the obs overhead ceiling"
         ),
     )
     _add_obs_flags(bench_p)
@@ -811,18 +771,21 @@ def _floor_holds(value: float, floor: float) -> bool:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     obs_mode = args.max_obs_overhead is not None
-    exclusive = [obs_mode, args.rand, args.graphs]
-    if sum(exclusive) > 1:
+    if obs_mode and args.rand:
         print(
-            "error: --max-obs-overhead, --rand, and --graphs "
-            "are mutually exclusive",
+            "error: --max-obs-overhead and --rand are mutually exclusive",
+            file=sys.stderr,
+        )
+        return 2
+    if not (obs_mode or args.rand):
+        print(
+            "error: bench needs a mode: --max-obs-overhead PCT or --rand",
             file=sys.stderr,
         )
         return 2
     if args.repeat < 1:
         print(f"error: --repeat must be >= 1, got {args.repeat}", file=sys.stderr)
         return 2
-    n = args.n if args.n is not None else (100_000 if args.graphs else 512)
     if args.min_kernel_speedup is not None and not args.rand:
         print(
             "error: --min-kernel-speedup only applies to --rand "
@@ -830,86 +793,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.min_csr_speedup is not None and not args.graphs:
-        print(
-            "error: --min-csr-speedup only applies to --graphs "
-            "(the sparse-backend regression guard)",
-            file=sys.stderr,
-        )
-        return 2
-    if (obs_mode or args.rand or args.graphs) and args.transport != "count":
-        mode = (
-            "--max-obs-overhead" if obs_mode else "--rand" if args.rand else "--graphs"
-        )
-        print(
-            f"error: --transport conflicts with {mode} "
-            "(these modes never pick the comm transport)",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.graphs:
-        degree = args.degree if args.degree is not None else 24
-        try:
-            with _obs_context(args):
-                rows = graphs_comparison(
-                    n=n, degree=degree, seed=args.seed, repeat=args.repeat
-                )
-        except ValueError as exc:
-            print(f"error: infeasible workload: {exc}", file=sys.stderr)
-            return 2
-        table_rows = [
-            [
-                r["backend"],
-                f"{r['build_s']:.3f}",
-                f"{r['probe_s'] * 1e3:.3f}",
-                f"{r['mem_mb']:.3f}",
-                f"{r['peak_mb']:.3f}",
-            ]
-            for r in rows
-        ]
-        m = rows[0]["m"] if rows else 0
-        print(
-            format_table(
-                ["backend", "build (s)", "probe sweep (ms)", "mem (MB)", "peak (MB)"],
-                table_rows,
-                title=(
-                    f"graph representation comparison — power-law workload "
-                    f"(n={n}, m={m}, cap={degree}, seed={args.seed})"
-                ),
-            )
-        )
-        csr = next((r for r in rows if r["backend"] == "csr"), None)
-        if csr is not None and "probe_speedup_vs_bitset" in csr:
-            print(
-                f"csr vs bitset: {csr['probe_speedup_vs_bitset']:.2f}x probe "
-                f"throughput, {csr['mem_ratio_vs_bitset']:.1f}x less memory"
-            )
-        if args.json:
-            _write_bench_json(rows, args.json, "graphs_comparison")
-        if args.min_csr_speedup is not None:
-            if csr is None or "probe_speedup_vs_bitset" not in csr:
-                print("error: no csr-vs-bitset row to guard", file=sys.stderr)
-                return 2
-            speedup = csr["probe_speedup_vs_bitset"]
-            mem_ratio = csr["mem_ratio_vs_bitset"]
-            if not (
-                _floor_holds(speedup, args.min_csr_speedup)
-                or _floor_holds(mem_ratio, 10.0)
-            ):
-                print(
-                    f"REGRESSION: csr probe speedup {speedup:.2f}x is below "
-                    f"the {args.min_csr_speedup:.2f}x floor and memory ratio "
-                    f"{mem_ratio:.1f}x is below the 10x escape",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"csr guard: probe speedup {speedup:.2f}x "
-                f"(floor {args.min_csr_speedup:.2f}x) / memory ratio "
-                f"{mem_ratio:.1f}x (escape 10x) — passed"
-            )
-        return 0
 
     if args.rand:
         with _obs_context(args):
@@ -955,81 +838,44 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 )
         return 0
 
-    if obs_mode:
-        degree = args.degree if args.degree is not None else 10
-        try:
-            with _obs_context(args):
-                row = obs_overhead(n=n, d=degree, seed=args.seed, repeat=args.repeat)
-        except ValueError as exc:
-            print(f"error: infeasible workload: {exc}", file=sys.stderr)
-            return 2
-        overhead = row["obs_overhead"] * 100.0
-        print(
-            format_table(
-                ["protocol", "obs off (ms)", "obs on (ms)", "overhead"],
-                [[
-                    row["protocol"],
-                    f"{row['count_s'] * 1e3:.3f}",
-                    f"{row['obs_enabled_s'] * 1e3:.3f}",
-                    f"{overhead:.1f}%",
-                ]],
-                title=(
-                    f"observability overhead — E4 workload "
-                    f"(n={n}, d={degree}, seed={args.seed}, transport=count)"
-                ),
-            )
-        )
-        if args.json:
-            _write_bench_json([row], args.json, "obs_overhead")
-        if not (math.isfinite(overhead) and overhead <= args.max_obs_overhead):
-            print(
-                f"REGRESSION: enabled-observer overhead {overhead:.1f}% "
-                f"on Theorem 1 exceeds the "
-                f"{args.max_obs_overhead:.1f}% ceiling",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"obs overhead guard: {overhead:.1f}% <= "
-            f"{args.max_obs_overhead:.1f}% ceiling"
-        )
-        return 0
-
-    degree = args.degree if args.degree is not None else 8
     try:
         with _obs_context(args):
-            rows = backend_comparison(
-                n=n,
-                d=degree,
-                seed=args.seed,
-                repeat=args.repeat,
-                transport=args.transport,
+            row = obs_overhead(
+                n=args.n, d=args.degree, seed=args.seed, repeat=args.repeat
             )
     except ValueError as exc:
         print(f"error: infeasible workload: {exc}", file=sys.stderr)
         return 2
-    table_rows = [
-        [
-            r["kernel"],
-            f"{r['set_s'] * 1e3:.3f}",
-            f"{r['bitset_s'] * 1e3:.3f}",
-            f"{r['speedup']:.2f}x",
-        ]
-        for r in rows
-    ]
+    overhead = row["obs_overhead"] * 100.0
     print(
         format_table(
-            ["kernel", "set (ms)", "bitset (ms)", "speedup"],
-            table_rows,
+            ["protocol", "obs off (ms)", "obs on (ms)", "overhead"],
+            [[
+                row["protocol"],
+                f"{row['count_s'] * 1e3:.3f}",
+                f"{row['obs_enabled_s'] * 1e3:.3f}",
+                f"{overhead:.1f}%",
+            ]],
             title=(
-                f"graph backend comparison — medium workload "
-                f"(n={n}, d={degree}, seed={args.seed}, "
-                f"transport={args.transport})"
+                f"observability overhead — E4 workload "
+                f"(n={args.n}, d={args.degree}, seed={args.seed}, transport=count)"
             ),
         )
     )
     if args.json:
-        _write_bench_json(rows, args.json, "backend_comparison")
+        _write_bench_json([row], args.json, "obs_overhead")
+    if not (math.isfinite(overhead) and overhead <= args.max_obs_overhead):
+        print(
+            f"REGRESSION: enabled-observer overhead {overhead:.1f}% "
+            f"on Theorem 1 exceeds the "
+            f"{args.max_obs_overhead:.1f}% ceiling",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"obs overhead guard: {overhead:.1f}% <= "
+        f"{args.max_obs_overhead:.1f}% ceiling"
+    )
     return 0
 
 

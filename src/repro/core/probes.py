@@ -8,8 +8,8 @@ restate those questions as batch sweeps over packed masks:
   *color-class sweep*: awake vertices are grouped by their trial color,
   each class is packed once into the backend's native mask, and a vertex
   conflicts iff it has a neighbor inside its own class — one
-  ``has_neighbor_in`` probe (a word-parallel AND on the bitset backend)
-  instead of walking every awake neighbor and comparing colors.
+  ``has_neighbor_in`` probe instead of walking every awake neighbor and
+  comparing colors.
 * :func:`surviving_edges` — D1LC step 2's disjointness filter over int
   color bitmasks: each sampled list folds to one int, and an edge
   survives iff the endpoint masks intersect (``&`` + truthiness), with
@@ -48,8 +48,8 @@ def confirmation_bits(
     Backends may carry a native ``confirmation_bits`` method (the CSR
     backend sweeps its index rows directly instead of packing per-class
     masks); it must return exactly the booleans of the generic sweep
-    below.  The set and bitset backends define no such hook and take the
-    generic path unchanged.
+    below.  The set backend defines no such hook and takes the generic
+    path unchanged.
     """
     backend_sweep = getattr(own_graph, "confirmation_bits", None)
     if backend_sweep is not None:

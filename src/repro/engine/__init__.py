@@ -14,13 +14,7 @@ bit-identical unsharded sweep.  The ``python -m repro`` CLI and the
 ``benchmarks/`` experiments are thin clients of this module.
 """
 
-from .bench import (
-    backend_comparison,
-    graphs_comparison,
-    kernel_comparison,
-    medium_workload,
-    obs_overhead,
-)
+from .bench import kernel_comparison, medium_workload, obs_overhead
 from .results import build_document, results_table, write_results
 from .runner import (
     SweepEvent,
@@ -60,12 +54,10 @@ __all__ = [
     "Scenario",
     "SweepEvent",
     "aggregate_reps",
-    "backend_comparison",
     "build_document",
     "build_partition",
     "build_workload",
     "default_scenarios",
-    "graphs_comparison",
     "iter_scenarios",
     "kernel_comparison",
     "large_scenarios",

@@ -6,7 +6,7 @@ axis is referenced by name so scenarios serialize to JSON, hash stably
 registry exposes curated grids rather than the full cross product: the
 default sweep covers the regimes the paper's experiments E1–E20 care
 about, and the smoke grid is a minutes-free subset touching every
-protocol, both graph backends, and the adversarial partition extremes.
+protocol, every graph backend, and the adversarial partition extremes.
 """
 
 from __future__ import annotations
@@ -404,7 +404,7 @@ def smoke_scenarios() -> list[Scenario]:
     scenarios = []
     for protocol in ("vertex", "edge", "edge_zero_comm"):
         for partition in ("random", "all_alice", "degree_split"):
-            for backend in ("set", "bitset", "csr"):
+            for backend in GRAPH_BACKENDS:
                 scenarios.append(
                     Scenario(
                         family="regular",
@@ -420,7 +420,6 @@ def smoke_scenarios() -> list[Scenario]:
             params=_params(n=48, p=0.2),
             partition="random",
             protocol="vertex",
-            backend="bitset",
         )
     )
     scenarios.append(
@@ -429,7 +428,6 @@ def smoke_scenarios() -> list[Scenario]:
             params=_params(dimension=5),
             partition="crossing",
             protocol="edge",
-            backend="bitset",
         )
     )
     scenarios.append(
@@ -529,10 +527,10 @@ def large_scenarios() -> list[Scenario]:
     """The million-vertex tier: CSR-only scale runs (``sweep --large``).
 
     Power-law social instances at n ∈ {10⁵, 10⁶}, pinned to the csr
-    backend — the set and bitset backends cannot represent these sizes
-    in reasonable memory (bitset adjacency alone is O(n²) bits: ~1.25 GB
-    at 10⁵ and ~125 GB at 10⁶).  Kept out of :func:`default_scenarios`
-    so ordinary sweeps stay minutes-free.
+    backend — its flat O(n + m) index arrays hold these sizes in tens of
+    megabytes, where the set backend pays for one Python set object per
+    vertex.  Kept out of :func:`default_scenarios` so ordinary sweeps
+    stay minutes-free.
     """
     scenarios = [
         Scenario(

@@ -6,8 +6,8 @@
 compressed-sparse-row layout every production graph system converges on.
 Memory is O(n + m) words regardless of density, which is what makes the
 million-vertex tier real: a sparse n = 10⁶ instance fits in tens of
-megabytes where :class:`~repro.graphs.bitset.BitsetGraph`'s dense
-per-vertex masks would need O(n²) bits (~125 GB).
+megabytes where dense per-vertex bitmasks would need O(n²) bits
+(~125 GB).
 
 When numpy is importable (and not disabled via ``REPRO_NO_NUMPY=1``),
 bulk construction vectorizes the sort/dedup/offset pipeline; the
@@ -22,8 +22,8 @@ that iterate rows first fold the overlay back into the compact arrays.
 Iteration orders match the backend contract exactly — neighbors
 enumerate in increasing order and ``edges()`` in sorted canonical order
 — so a protocol run on a ``CSRGraph`` consumes the shared random tape
-identically to the set and bitset backends and produces bit-for-bit
-identical transcripts.
+identically to the set backend and produces bit-for-bit identical
+transcripts.
 """
 
 from __future__ import annotations
@@ -36,7 +36,13 @@ from operator import sub
 from ..rand import kernels as _kernels
 from .graph import Edge, Graph
 
-__all__ = ["CSRGraph", "GraphBuilder", "from_edge_stream"]
+__all__ = [
+    "CSRGraph",
+    "GRAPH_BACKENDS",
+    "GraphBuilder",
+    "as_backend",
+    "from_edge_stream",
+]
 
 #: Below this many directed entries the numpy build costs more than it saves.
 _NUMPY_BUILD_MIN = 1024
@@ -311,17 +317,6 @@ class CSRGraph(Graph):
         """The neighbor set of ``v`` (a fresh set)."""
         return set(self.iter_neighbors(v))
 
-    def neighbor_mask(self, v: int) -> int:
-        """The adjacency of ``v`` as an int bitmask (bitset-compatible)."""
-        self._compact()
-        indices = self._indices
-        start = self._indptr[v]
-        buf = bytearray((self.n >> 3) + 1)
-        for i in range(start, start + self._deg[v]):
-            u = indices[i]
-            buf[u >> 3] |= 1 << (u & 7)
-        return int.from_bytes(buf, "little")
-
     def degree(self, v: int) -> int:
         """Degree of ``v`` (no compaction: row length + overlay size)."""
         extra = self._pending.get(v)
@@ -477,3 +472,29 @@ class CSRGraph(Graph):
 
     def __repr__(self) -> str:
         return f"CSRGraph(n={self.n}, m={self._m}, max_degree={self.max_degree()})"
+
+
+#: Registered graph backends, keyed by the names the engine and CLI use.
+GRAPH_BACKENDS: dict[str, type[Graph]] = {"set": Graph, "csr": CSRGraph}
+
+
+def as_backend(graph: Graph, backend: str) -> Graph:
+    """Convert ``graph`` to the named backend (no-op if already there).
+
+    Conversion preserves the vertex range and edge set exactly, so a
+    workload generated once with the default backend can be replayed on any
+    other backend with identical protocol behavior.  CSR rows are copied
+    straight from ``iter_neighbors``, which every backend enumerates sorted
+    and duplicate-free.
+    """
+    try:
+        cls = GRAPH_BACKENDS[backend]
+    except KeyError:
+        raise ValueError(
+            f"unknown graph backend {backend!r}; choose from {sorted(GRAPH_BACKENDS)}"
+        ) from None
+    if type(graph) is cls:
+        return graph
+    if cls is CSRGraph:
+        return CSRGraph.from_rows(graph.n, map(graph.iter_neighbors, range(graph.n)))
+    return cls(graph.n, graph.edges())

@@ -8,9 +8,9 @@ Algorithm 2.
 
 ``Graph`` doubles as the *backend contract*: every method here (including
 the accessor block at the bottom) is part of the API the protocols program
-against, and :class:`repro.graphs.bitset.BitsetGraph` re-implements the
-whole surface over packed integer bitmasks.  Hot paths must go through the
-accessors — ``iter_neighbors``, ``pack_vertices``, ``neighbors_in``,
+against, and :class:`repro.graphs.csr.CSRGraph` re-implements the whole
+surface over flat index arrays.  Hot paths must go through the accessors
+— ``iter_neighbors``, ``pack_vertices``, ``neighbors_in``,
 ``neighbor_colors``, ``induced_subgraph`` — rather than materializing
 ``neighbors()`` sets, so each backend can use its native representation.
 Iteration orders are deterministic (increasing vertex order) so that the
@@ -166,8 +166,8 @@ class Graph:
     # -- backend-agnostic accessors ---------------------------------------
     #
     # The protocols' hot paths call these instead of materializing
-    # ``neighbors()``; BitsetGraph overrides them with word-parallel
-    # bitmask implementations.
+    # ``neighbors()``; CSRGraph overrides them with row scans over its
+    # flat index arrays.
 
     def iter_neighbors(self, v: int) -> Iterator[int]:
         """Iterate the neighbors of ``v`` in increasing order."""
@@ -177,7 +177,7 @@ class Graph:
         """Pack a vertex collection into this backend's native set type.
 
         The result is opaque — pass it back to :meth:`neighbors_in`.  The
-        set backend uses a frozenset; the bitset backend an int mask.
+        set backend uses a frozenset.
         """
         return frozenset(vertices)
 

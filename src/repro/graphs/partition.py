@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import compress
 
 from ..rand import RandomSource, as_random
-from .bitset import as_backend
+from .csr import as_backend
 from .graph import Edge, Graph, invert_mask
 
 __all__ = [

@@ -1,6 +1,6 @@
 """Backend parity: protocols produce identical results on every backend.
 
-An alternative graph backend (bitset, csr) is only admissible if it is
+An alternative graph backend (csr) is only admissible if it is
 *observationally equivalent* to the reference dict-of-sets graph: same
 colorings, same transcripts (bits and rounds), on the same instances,
 under the same seeds.  These tests run the full protocol stack on
@@ -36,7 +36,7 @@ from repro.graphs import (
 
 
 #: Every non-reference backend must match the reference "set" graph.
-ALT_BACKENDS = ("bitset", "csr")
+ALT_BACKENDS = ("csr",)
 
 
 def _pair(graph, rng, backend):

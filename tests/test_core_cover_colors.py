@@ -8,7 +8,6 @@ import pytest
 
 from repro.comm.bits import gamma_cost, uint_cost
 from repro.core import build_cover_message, decode_cover_message
-from repro.graphs import iter_bits
 
 
 def random_used(rng, vertices, palette, min_fraction=1 / 3):
@@ -43,7 +42,11 @@ def bigint_cover_reference(low_vertices, available, palette):
                 best_color, best_count = color, count
         assert best_color is not None and best_count > 0
         hits = covers[best_color]
-        flags = tuple(bool((hits >> pos) & 1) for pos in iter_bits(alive))
+        flags = tuple(
+            bool((hits >> pos) & 1)
+            for pos in range(alive.bit_length())
+            if (alive >> pos) & 1
+        )
         colors.append(best_color)
         bitmaps.append(flags)
         nbits += uint_cost(max(palette)) + len(flags)

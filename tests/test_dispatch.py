@@ -123,7 +123,7 @@ def test_pack_shards_isolates_a_dominant_scenario():
     tiny = [
         _tiny(protocol, backend=backend, partition=partition)
         for protocol in ("vertex", "edge")
-        for backend in ("set", "bitset")
+        for backend in ("set", "csr")
         for partition in ("random", "all_alice")
     ]
     shards = pack_shards([huge, *tiny], 3)
@@ -358,7 +358,7 @@ def _shard_docs(grid, count):
 def test_merge_tree_matches_flat_merge_any_arrival_order():
     grid = [
         _tiny("vertex"),
-        _tiny("vertex", backend="bitset"),
+        _tiny("vertex", backend="csr"),
         _tiny("edge"),
         _tiny("edge_zero_comm"),
         _tiny("edge_zero_comm", partition="all_alice"),
@@ -487,9 +487,13 @@ def test_coordinator_rejects_degenerate_configs(tmp_path):
 
 
 def test_coordinator_default_shard_count_overshards(tmp_path):
-    grid = _selected_grid()  # 9 scenarios (3 partitions x 3 backends)
+    # 12 scenarios (3 partitions x 2 backends x 2 transports)
+    grid = list(
+        iter_scenarios(smoke_scenarios(), pattern="edge_zero_comm", transport="all")
+    )
+    selection = ["--smoke", "--filter", "edge_zero_comm", "--transport", "all"]
     coordinator = Coordinator(
-        grid, _SELECTION, tmp_path / "w", tmp_path / "o",
+        grid, selection, tmp_path / "w", tmp_path / "o",
         LocalExecutor(), DispatchConfig(workers=2),
     )
     # M = min(4 x workers, grid size): M >> workers up to the grid size.

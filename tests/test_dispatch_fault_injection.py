@@ -36,7 +36,17 @@ from repro.dispatch import (
 )
 from repro.engine import iter_scenarios, smoke_scenarios, sweep, write_results
 
-SELECTION = ["--smoke", "--filter", "edge_zero_comm", "--transport", "count"]
+
+def _selection(transport: str) -> list[str]:
+    return ["--smoke", "--filter", "edge_zero_comm", "--transport", transport]
+
+
+SELECTION = _selection("count")
+
+#: ``--transport all`` doubles the zero-comm smoke grid to twelve
+#: scenarios, enough that a two-way hash split leaves both shards
+#: non-empty — the tests that need a second, untouched shard run on it.
+WIDE = "all"
 
 
 @pytest.fixture(autouse=True)
@@ -48,16 +58,18 @@ def _src_on_worker_path(monkeypatch):
         monkeypatch.setenv("PYTHONPATH", merged)
 
 
-def _grid():
+def _grid(transport: str = "count"):
     return list(
         iter_scenarios(
-            smoke_scenarios(), pattern="edge_zero_comm", transport="count"
+            smoke_scenarios(), pattern="edge_zero_comm", transport=transport
         )
     )
 
 
-def _serial_bytes(tmp_path: Path) -> bytes:
-    json_path, _ = write_results(sweep(_grid(), jobs=1), tmp_path / "serial")
+def _serial_bytes(tmp_path: Path, transport: str = "count") -> bytes:
+    json_path, _ = write_results(
+        sweep(_grid(transport), jobs=1), tmp_path / "serial"
+    )
     return json_path.read_bytes()
 
 
@@ -126,10 +138,11 @@ def _coordinator(
     config: DispatchConfig,
     resume: bool = False,
     progress: list[str] | None = None,
+    transport: str = "count",
 ) -> Coordinator:
     return Coordinator(
-        _grid(),
-        SELECTION,
+        _grid(transport),
+        _selection(transport),
         work_dir=tmp_path / "work",
         out_dir=tmp_path / "out",
         executor=executor,
@@ -222,10 +235,13 @@ def test_torn_journal_tail_is_dropped_on_resume(tmp_path):
     # torn (newline-less, half-written) line.  Resume must replay the
     # intact prefix, drop the torn tail, and still match serial bytes.
     coordinator = _coordinator(
-        tmp_path, LocalExecutor(), DispatchConfig(workers=2, shards=2)
+        tmp_path,
+        LocalExecutor(),
+        DispatchConfig(workers=2, shards=2),
+        transport=WIDE,
     )
     _, json_path, _ = coordinator.run()
-    serial = _serial_bytes(tmp_path)
+    serial = _serial_bytes(tmp_path, WIDE)
     assert json_path.read_bytes() == serial
 
     manifest = Manifest.load(tmp_path / "work" / "dispatch.json")
@@ -248,6 +264,7 @@ def test_torn_journal_tail_is_dropped_on_resume(tmp_path):
         DispatchConfig(workers=2, shards=2),
         resume=True,
         progress=progress,
+        transport=WIDE,
     )
     _, json_path2, _ = resumed.run()
 

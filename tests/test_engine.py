@@ -10,7 +10,6 @@ from repro.engine import (
     FAMILIES,
     PROTOCOLS,
     Scenario,
-    backend_comparison,
     build_partition,
     build_workload,
     default_scenarios,
@@ -51,7 +50,7 @@ def test_scenario_validation():
 
 def test_scenario_name_and_seed_are_stable():
     a = _tiny("vertex")
-    b = _tiny("vertex", backend="bitset")
+    b = _tiny("vertex", backend="csr")
     assert a.name == "vertex/regular(d=4,n=24)/random/set"
     assert a.coordinate == b.coordinate
     # Seeds hash the (family, params) workload key only: every protocol,
@@ -130,17 +129,16 @@ def test_every_protocol_runs_one_tiny_scenario():
 
 
 def test_backend_rows_agree_in_sweep():
-    scenarios = [_tiny("vertex", backend=b) for b in ("set", "bitset", "csr")]
-    set_row, bitset_row, csr_row = sweep(scenarios, jobs=1)
-    for row in (bitset_row, csr_row):
-        assert set_row["total_bits"] == row["total_bits"]
-        assert set_row["rounds"] == row["rounds"]
-        # Everything but the coordinate label must agree key-for-key, so
-        # sweep.json records differ only in the backend column.
-        strip = lambda r: {
-            k: v for k, v in r.items() if k not in ("scenario", "backend")
-        }
-        assert strip(set_row) == strip(row)
+    scenarios = [_tiny("vertex", backend=b) for b in ("set", "csr")]
+    set_row, csr_row = sweep(scenarios, jobs=1)
+    assert set_row["total_bits"] == csr_row["total_bits"]
+    assert set_row["rounds"] == csr_row["rounds"]
+    # Everything but the coordinate label must agree key-for-key, so
+    # sweep.json records differ only in the backend column.
+    strip = lambda r: {
+        k: v for k, v in r.items() if k not in ("scenario", "backend")
+    }
+    assert strip(set_row) == strip(csr_row)
 
 
 def test_sweep_parallel_matches_serial():
@@ -157,9 +155,9 @@ def test_iter_scenarios_filter_and_backend():
     only_edge = list(iter_scenarios(grid, pattern="edge/"))
     assert only_edge and all("edge/" in s.name for s in only_edge)
     both = list(iter_scenarios([_tiny("vertex")], backend="both"))
-    assert {s.backend for s in both} == {"set", "bitset", "csr"}
-    pinned = list(iter_scenarios(grid, backend="bitset"))
-    assert all(s.backend == "bitset" for s in pinned)
+    assert {s.backend for s in both} == {"set", "csr"}
+    pinned = list(iter_scenarios(grid, backend="csr"))
+    assert all(s.backend == "csr" for s in pinned)
 
 
 def test_registry_grids_are_valid():
@@ -180,25 +178,6 @@ def test_write_results_and_table(tmp_path):
     assert "| scenario |" in markdown
     console = results_table(results)
     assert "sweep results (2 scenarios)" in console
-
-
-def test_backend_comparison_rows():
-    rows = backend_comparison(n=48, d=4, seed=1, repeat=1)
-    kernels = {r["kernel"] for r in rows}
-    assert "graph.copy" in kernels
-    assert all(r["set_s"] > 0 and r["bitset_s"] > 0 for r in rows)
-
-
-def test_graphs_comparison_rows():
-    from repro.engine import graphs_comparison
-
-    rows = graphs_comparison(n=400, degree=8, seed=1, repeat=1)
-    assert [r["backend"] for r in rows] == ["set", "bitset", "csr"]
-    assert len({r["m"] for r in rows}) == 1  # identical shared edge list
-    csr = rows[-1]
-    assert csr["probe_speedup_vs_bitset"] > 0
-    assert csr["mem_ratio_vs_bitset"] > 1  # CSR beats dense masks already at n=400
-    assert all(r["build_s"] > 0 and r["probe_s"] > 0 for r in rows)
 
 
 def test_cli_list_and_sweep(tmp_path, capsys):
@@ -227,12 +206,6 @@ def test_cli_list_and_sweep(tmp_path, capsys):
 
 def test_cli_sweep_rejects_empty_filter(capsys):
     assert main(["sweep", "--smoke", "--filter", "zzz-no-match"]) == 2
-
-
-def test_cli_bench_tiny(capsys):
-    assert main(["bench", "--n", "48", "--degree", "4", "--repeat", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "graph backend comparison" in out
 
 
 def test_obs_overhead_row():
@@ -339,43 +312,10 @@ def test_cli_bench_kernel_floor_fails_on_nan(monkeypatch, capsys):
     assert "REGRESSION" in capsys.readouterr().err
 
 
-def test_cli_bench_csr_floor_fails_on_nan(monkeypatch, capsys):
-    nan = float("nan")
-    row = {"backend": "csr", "m": 0, "build_s": 0.0, "probe_s": 0.0,
-           "mem_mb": 0.0, "peak_mb": 0.0,
-           "probe_speedup_vs_bitset": nan, "mem_ratio_vs_bitset": nan}
-    monkeypatch.setattr(
-        "repro.__main__.graphs_comparison", lambda **kwargs: [row]
-    )
-    assert main(["bench", "--graphs", "--min-csr-speedup", "3"]) == 1
-    assert "REGRESSION" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "mode", [[], ["--rand"], ["--max-obs-overhead", "25"], ["--graphs"]]
-)
+@pytest.mark.parametrize("mode", [["--rand"], ["--max-obs-overhead", "25"]])
 def test_cli_bench_rejects_repeat_below_one(mode, capsys):
     assert main(["bench", *mode, "--repeat", "0"]) == 2
     assert "--repeat must be >= 1" in capsys.readouterr().err
-
-
-def test_cli_bench_graphs(tmp_path, capsys):
-    out_json = tmp_path / "graphs.json"
-    assert main(
-        ["bench", "--graphs", "--n", "400", "--degree", "8", "--repeat", "1",
-         "--json", str(out_json), "--min-csr-speedup", "0.01"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "graph representation comparison" in out
-    assert "csr guard" in out
-    document = json.loads(out_json.read_text())
-    assert document["bench"] == "graphs_comparison"
-    assert {r["backend"] for r in document["rows"]} == {"set", "bitset", "csr"}
-
-
-def test_cli_bench_graphs_guard_flag_needs_graphs(capsys):
-    assert main(["bench", "--min-csr-speedup", "3.0"]) == 2
-    assert "--min-csr-speedup only applies to --graphs" in capsys.readouterr().err
 
 
 def test_cli_list_large_grid(capsys):
@@ -394,17 +334,18 @@ def test_cli_smoke_and_large_are_exclusive(capsys):
 def test_cli_bench_mode_flags_are_exclusive(capsys):
     assert main(["bench", "--rand", "--max-obs-overhead", "25"]) == 2
     assert "mutually exclusive" in capsys.readouterr().err
-    assert main(["bench", "--graphs", "--rand"]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
 
 
-def test_cli_bench_modes_reject_transport(capsys):
-    assert main(["bench", "--rand", "--transport", "strict"]) == 2
-    assert "--transport conflicts with --rand" in capsys.readouterr().err
-    assert main(["bench", "--graphs", "--transport", "strict"]) == 2
-    assert "--transport conflicts with --graphs" in capsys.readouterr().err
-    assert main(["bench", "--max-obs-overhead", "25", "--transport", "strict"]) == 2
-    assert "--transport conflicts with --max-obs-overhead" in capsys.readouterr().err
+def test_cli_bench_needs_a_mode(capsys):
+    assert main(["bench"]) == 2
+    assert "bench needs a mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [["--rand"], ["--max-obs-overhead", "25"]])
+def test_cli_bench_rejects_transport(mode, capsys):
+    with pytest.raises(SystemExit):
+        main(["bench", *mode, "--transport", "strict"])
+    assert "unrecognized arguments: --transport" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sweep", "merge", "dispatch", "list-scenarios"])
@@ -416,5 +357,7 @@ def test_cli_rejects_the_removed_lockstep_transport(command, capsys):
 
 def test_cli_bench_rejects_infeasible_workload(capsys):
     # n*d odd -> random_regular_graph raises; the CLI must exit 2 cleanly.
-    assert main(["bench", "--n", "11", "--degree", "3"]) == 2
+    assert main(
+        ["bench", "--max-obs-overhead", "25", "--n", "11", "--degree", "3"]
+    ) == 2
     assert "infeasible workload" in capsys.readouterr().err

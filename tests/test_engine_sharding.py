@@ -45,11 +45,11 @@ def _tiny_grid() -> list[Scenario]:
     """Six fast coordinates spanning protocols, partitions, and backends."""
     return [
         _tiny("vertex"),
-        _tiny("vertex", backend="bitset"),
+        _tiny("vertex", backend="csr"),
         _tiny("vertex", partition="all_alice"),
         _tiny("edge"),
         _tiny("edge_zero_comm"),
-        _tiny("edge_zero_comm", backend="bitset"),
+        _tiny("edge_zero_comm", backend="csr"),
     ]
 
 
@@ -462,23 +462,28 @@ def test_merge_missing_shard_fails_completeness_check():
 
 
 _FILTER = ["--filter", "edge_zero_comm"]
+#: Both transports of the zero-comm smoke coordinates (twelve scenarios):
+#: the two-way hash split leaves neither shard empty.
+_SHARDED = [*_FILTER, "--transport", "all"]
 
 
 def test_cli_sharded_sweep_and_merge_reproduce_serial(tmp_path, capsys):
     serial_out = tmp_path / "serial"
-    assert main(["sweep", "--smoke", *_FILTER, "--jobs", "1", "--out", str(serial_out)]) == 0
+    assert main(
+        ["sweep", "--smoke", *_SHARDED, "--jobs", "1", "--out", str(serial_out)]
+    ) == 0
     shard_dirs = []
     for k in (1, 2):
         out = tmp_path / f"shard{k}"
         shard_dirs.append(str(out))
         code = main(
-            ["sweep", "--smoke", *_FILTER, "--jobs", "1",
+            ["sweep", "--smoke", *_SHARDED, "--jobs", "1",
              "--shard", f"{k}/2", "--out", str(out)]
         )
         assert code == 0
     merged_out = tmp_path / "merged"
     code = main(
-        ["merge", *shard_dirs, "--smoke", *_FILTER,
+        ["merge", *shard_dirs, "--smoke", *_SHARDED,
          "--check-complete", "--out", str(merged_out)]
     )
     assert code == 0
@@ -496,14 +501,14 @@ def test_cli_sweep_and_merge_custom_label(tmp_path):
         out = tmp_path / f"shard{k}"
         shard_dirs.append(str(out))
         code = main(
-            ["sweep", "--smoke", *_FILTER, "--jobs", "1", "--label", "nightly",
+            ["sweep", "--smoke", *_SHARDED, "--jobs", "1", "--label", "nightly",
              "--shard", f"{k}/2", "--out", str(out)]
         )
         assert code == 0
         assert (out / "nightly.json").exists()
     merged_out = tmp_path / "merged"
     code = main(
-        ["merge", *shard_dirs, "--smoke", *_FILTER, "--label", "nightly",
+        ["merge", *shard_dirs, "--smoke", *_SHARDED, "--label", "nightly",
          "--check-complete", "--out", str(merged_out)]
     )
     assert code == 0
@@ -513,11 +518,11 @@ def test_cli_sweep_and_merge_custom_label(tmp_path):
 def test_cli_merge_rejects_incomplete_union(tmp_path, capsys):
     out = tmp_path / "shard1"
     assert main(
-        ["sweep", "--smoke", *_FILTER, "--jobs", "1", "--shard", "1/2",
+        ["sweep", "--smoke", *_SHARDED, "--jobs", "1", "--shard", "1/2",
          "--out", str(out)]
     ) == 0
     code = main(
-        ["merge", str(out), "--smoke", *_FILTER, "--check-complete",
+        ["merge", str(out), "--smoke", *_SHARDED, "--check-complete",
          "--out", str(tmp_path / "merged")]
     )
     assert code == 1

@@ -1,9 +1,9 @@
 """Unit tests for the CSR graph backend.
 
-Mirrors ``test_graphs_bitset.py`` for the sparse backend: contract
-checks, the mutation overlay (pending additions + in-row removals), the
-numpy/pure build-parity guarantee, and the backend-native confirmation
-sweep that ``repro.core.probes`` dispatches to.
+Contract checks against the set backend, the mutation overlay (pending
+additions + in-row removals), the numpy/pure build-parity guarantee, and
+the backend-native confirmation sweep that ``repro.core.probes``
+dispatches to.
 """
 
 from __future__ import annotations
@@ -196,15 +196,6 @@ def test_induced_subgraph_and_subgraph_edges_parity():
     assert c.induced_subgraph(keep) == g.induced_subgraph(keep)
     some = [e for i, e in enumerate(g.edges()) if i % 2 == 0]
     assert c.subgraph_edges(some) == g.subgraph_edges(some)
-
-
-def test_neighbor_mask_matches_bitset():
-    rng = random.Random(21)
-    g = gnp_random_graph(70, 0.1, rng)
-    b = as_backend(g, "bitset")
-    c = as_backend(g, "csr")
-    for v in range(70):
-        assert c.neighbor_mask(v) == b.neighbor_mask(v)
 
 
 def test_randomized_mirror_against_set_backend():

@@ -30,6 +30,7 @@ from repro.engine import (
 from repro.engine.sharding import Journal
 from repro.obs import NULL_OBSERVER, get_observer, observing, read_trace
 from tests.test_dispatch_fault_injection import (
+    WIDE,
     ScriptedExecutor,
     _biggest_shard,
     _coordinator,
@@ -94,6 +95,7 @@ def test_dispatch_with_injected_kill_bytes_identical_observed(tmp_path):
         tmp_path,
         executor,
         DispatchConfig(workers=2, shards=2, backoff=0.05),
+        transport=WIDE,
     )
     victim = _biggest_shard(coordinator)
     executor.wrap[(victim.shard_id, 1)] = "selfkill"
@@ -103,7 +105,7 @@ def test_dispatch_with_injected_kill_bytes_identical_observed(tmp_path):
     ):
         _, json_path, _ = coordinator.run()
 
-    assert json_path.read_bytes() == _serial_bytes(tmp_path)
+    assert json_path.read_bytes() == _serial_bytes(tmp_path, WIDE)
     document = json.loads((tmp_path / "metrics.json").read_text())
     counters, gauges = document["counters"], document["gauges"]
     assert counters["dispatch.retries"] == 1

@@ -367,7 +367,7 @@ class TestProtocolInvariance:
             params=(("n", 48), ("p", 0.2)),
             partition="random",
             protocol="vertex",
-            backend="bitset",
+            backend="csr",
         )
         part = build_partition(scenario)
         run = PROTOCOLS["vertex"].run

@@ -46,61 +46,43 @@ DRIVERS = {
 AGGREGATE = {
     "vertex/regular(d=8,n=64)/random/set":
         "01d57b702a3c0a71fdf6172267377d8bc6b1043f6547e226ecc4c0c53378364f",
-    "vertex/regular(d=8,n=64)/random/bitset":
-        "01d57b702a3c0a71fdf6172267377d8bc6b1043f6547e226ecc4c0c53378364f",
     "vertex/regular(d=8,n=64)/random/csr":
         "01d57b702a3c0a71fdf6172267377d8bc6b1043f6547e226ecc4c0c53378364f",
     "vertex/regular(d=8,n=64)/all_alice/set":
-        "35a3443576df28a06d898eb134999b9a4b6babc493388720001b17cafa23b925",
-    "vertex/regular(d=8,n=64)/all_alice/bitset":
         "35a3443576df28a06d898eb134999b9a4b6babc493388720001b17cafa23b925",
     "vertex/regular(d=8,n=64)/all_alice/csr":
         "35a3443576df28a06d898eb134999b9a4b6babc493388720001b17cafa23b925",
     "vertex/regular(d=8,n=64)/degree_split/set":
         "35a3443576df28a06d898eb134999b9a4b6babc493388720001b17cafa23b925",
-    "vertex/regular(d=8,n=64)/degree_split/bitset":
-        "35a3443576df28a06d898eb134999b9a4b6babc493388720001b17cafa23b925",
     "vertex/regular(d=8,n=64)/degree_split/csr":
         "35a3443576df28a06d898eb134999b9a4b6babc493388720001b17cafa23b925",
     "edge/regular(d=8,n=64)/random/set":
-        "51749bdab8f33ed2ba0dd81351b1625f9b894f0619b64ea9ad8eb6f1096036db",
-    "edge/regular(d=8,n=64)/random/bitset":
         "51749bdab8f33ed2ba0dd81351b1625f9b894f0619b64ea9ad8eb6f1096036db",
     "edge/regular(d=8,n=64)/random/csr":
         "51749bdab8f33ed2ba0dd81351b1625f9b894f0619b64ea9ad8eb6f1096036db",
     "edge/regular(d=8,n=64)/all_alice/set":
         "935606a481ba4441116653e8590e680e7bb4549400b7ff5765fce1f74442d471",
-    "edge/regular(d=8,n=64)/all_alice/bitset":
-        "935606a481ba4441116653e8590e680e7bb4549400b7ff5765fce1f74442d471",
     "edge/regular(d=8,n=64)/all_alice/csr":
         "935606a481ba4441116653e8590e680e7bb4549400b7ff5765fce1f74442d471",
     "edge/regular(d=8,n=64)/degree_split/set":
-        "a35d87898b7f4ebf2809438ce9b1a9b9a346abfe4391187f41b9c9a25e7e1c7c",
-    "edge/regular(d=8,n=64)/degree_split/bitset":
         "a35d87898b7f4ebf2809438ce9b1a9b9a346abfe4391187f41b9c9a25e7e1c7c",
     "edge/regular(d=8,n=64)/degree_split/csr":
         "a35d87898b7f4ebf2809438ce9b1a9b9a346abfe4391187f41b9c9a25e7e1c7c",
     "edge_zero_comm/regular(d=8,n=64)/random/set":
         "44d6d77daef12fa369f87164471c96b0d1a204a7c12d3e5d76770cfc60172fb5",
-    "edge_zero_comm/regular(d=8,n=64)/random/bitset":
-        "44d6d77daef12fa369f87164471c96b0d1a204a7c12d3e5d76770cfc60172fb5",
     "edge_zero_comm/regular(d=8,n=64)/random/csr":
         "44d6d77daef12fa369f87164471c96b0d1a204a7c12d3e5d76770cfc60172fb5",
     "edge_zero_comm/regular(d=8,n=64)/all_alice/set":
-        "44d6d77daef12fa369f87164471c96b0d1a204a7c12d3e5d76770cfc60172fb5",
-    "edge_zero_comm/regular(d=8,n=64)/all_alice/bitset":
         "44d6d77daef12fa369f87164471c96b0d1a204a7c12d3e5d76770cfc60172fb5",
     "edge_zero_comm/regular(d=8,n=64)/all_alice/csr":
         "44d6d77daef12fa369f87164471c96b0d1a204a7c12d3e5d76770cfc60172fb5",
     "edge_zero_comm/regular(d=8,n=64)/degree_split/set":
         "44d6d77daef12fa369f87164471c96b0d1a204a7c12d3e5d76770cfc60172fb5",
-    "edge_zero_comm/regular(d=8,n=64)/degree_split/bitset":
-        "44d6d77daef12fa369f87164471c96b0d1a204a7c12d3e5d76770cfc60172fb5",
     "edge_zero_comm/regular(d=8,n=64)/degree_split/csr":
         "44d6d77daef12fa369f87164471c96b0d1a204a7c12d3e5d76770cfc60172fb5",
-    "vertex/gnp(n=48,p=0.2)/random/bitset":
+    "vertex/gnp(n=48,p=0.2)/random/set":
         "3ce69584db0d0d6d752ef977ab8c53639aa0e1fe74dfd9b06404c340c11b2155",
-    "edge/hypercube(dimension=5)/crossing/bitset":
+    "edge/hypercube(dimension=5)/crossing/set":
         "bacefeb31fb9b0247cc9dd080584e44eab7d7839505f34a3da391e5fdf91c1ae",
     "edge/conflict(d_base=8,d_overlay=4,half=64)/random/csr":
         "8d68ce1e5adc6dfc905e809ae911379a72abd3dec961acfd7c00075b604fc1d9",
@@ -112,61 +94,43 @@ AGGREGATE = {
 WITH_LOG = {
     "vertex/regular(d=8,n=64)/random/set":
         "8de1c7e5430f8744fc6fbc4e1a085cfc8674783606e4662369eb797664858cd1",
-    "vertex/regular(d=8,n=64)/random/bitset":
-        "8de1c7e5430f8744fc6fbc4e1a085cfc8674783606e4662369eb797664858cd1",
     "vertex/regular(d=8,n=64)/random/csr":
         "8de1c7e5430f8744fc6fbc4e1a085cfc8674783606e4662369eb797664858cd1",
     "vertex/regular(d=8,n=64)/all_alice/set":
-        "3dd416b1dbebe5d72eb128ae0baa1acb075ed5c20f03077dc6d34d39bfaed9d9",
-    "vertex/regular(d=8,n=64)/all_alice/bitset":
         "3dd416b1dbebe5d72eb128ae0baa1acb075ed5c20f03077dc6d34d39bfaed9d9",
     "vertex/regular(d=8,n=64)/all_alice/csr":
         "3dd416b1dbebe5d72eb128ae0baa1acb075ed5c20f03077dc6d34d39bfaed9d9",
     "vertex/regular(d=8,n=64)/degree_split/set":
         "3dd416b1dbebe5d72eb128ae0baa1acb075ed5c20f03077dc6d34d39bfaed9d9",
-    "vertex/regular(d=8,n=64)/degree_split/bitset":
-        "3dd416b1dbebe5d72eb128ae0baa1acb075ed5c20f03077dc6d34d39bfaed9d9",
     "vertex/regular(d=8,n=64)/degree_split/csr":
         "3dd416b1dbebe5d72eb128ae0baa1acb075ed5c20f03077dc6d34d39bfaed9d9",
     "edge/regular(d=8,n=64)/random/set":
-        "1d0acaff53a28269298e6cea2d3e02994ab75b73c79280066768caa795747261",
-    "edge/regular(d=8,n=64)/random/bitset":
         "1d0acaff53a28269298e6cea2d3e02994ab75b73c79280066768caa795747261",
     "edge/regular(d=8,n=64)/random/csr":
         "1d0acaff53a28269298e6cea2d3e02994ab75b73c79280066768caa795747261",
     "edge/regular(d=8,n=64)/all_alice/set":
         "e804bc0eb4bdeb38ea368323eb6762f9ec8d5e9ad16cd4d6aa19213a8f4f62f7",
-    "edge/regular(d=8,n=64)/all_alice/bitset":
-        "e804bc0eb4bdeb38ea368323eb6762f9ec8d5e9ad16cd4d6aa19213a8f4f62f7",
     "edge/regular(d=8,n=64)/all_alice/csr":
         "e804bc0eb4bdeb38ea368323eb6762f9ec8d5e9ad16cd4d6aa19213a8f4f62f7",
     "edge/regular(d=8,n=64)/degree_split/set":
-        "12fd150863cd364a2fd22e5403151923c76612c16799a248ce8df7986e2f0538",
-    "edge/regular(d=8,n=64)/degree_split/bitset":
         "12fd150863cd364a2fd22e5403151923c76612c16799a248ce8df7986e2f0538",
     "edge/regular(d=8,n=64)/degree_split/csr":
         "12fd150863cd364a2fd22e5403151923c76612c16799a248ce8df7986e2f0538",
     "edge_zero_comm/regular(d=8,n=64)/random/set":
         "20a0cd152987678ae6d244032ffe175e7a1ed42d77a50e77f1d75ce22a3a5cea",
-    "edge_zero_comm/regular(d=8,n=64)/random/bitset":
-        "20a0cd152987678ae6d244032ffe175e7a1ed42d77a50e77f1d75ce22a3a5cea",
     "edge_zero_comm/regular(d=8,n=64)/random/csr":
         "20a0cd152987678ae6d244032ffe175e7a1ed42d77a50e77f1d75ce22a3a5cea",
     "edge_zero_comm/regular(d=8,n=64)/all_alice/set":
-        "20a0cd152987678ae6d244032ffe175e7a1ed42d77a50e77f1d75ce22a3a5cea",
-    "edge_zero_comm/regular(d=8,n=64)/all_alice/bitset":
         "20a0cd152987678ae6d244032ffe175e7a1ed42d77a50e77f1d75ce22a3a5cea",
     "edge_zero_comm/regular(d=8,n=64)/all_alice/csr":
         "20a0cd152987678ae6d244032ffe175e7a1ed42d77a50e77f1d75ce22a3a5cea",
     "edge_zero_comm/regular(d=8,n=64)/degree_split/set":
         "20a0cd152987678ae6d244032ffe175e7a1ed42d77a50e77f1d75ce22a3a5cea",
-    "edge_zero_comm/regular(d=8,n=64)/degree_split/bitset":
-        "20a0cd152987678ae6d244032ffe175e7a1ed42d77a50e77f1d75ce22a3a5cea",
     "edge_zero_comm/regular(d=8,n=64)/degree_split/csr":
         "20a0cd152987678ae6d244032ffe175e7a1ed42d77a50e77f1d75ce22a3a5cea",
-    "vertex/gnp(n=48,p=0.2)/random/bitset":
+    "vertex/gnp(n=48,p=0.2)/random/set":
         "0294724a28a8584bcf5cfd59df9a8399c410b2a0ca481cee8556fd4853d94ec2",
-    "edge/hypercube(dimension=5)/crossing/bitset":
+    "edge/hypercube(dimension=5)/crossing/set":
         "e82074764cfbd972c20e9c1258a069e34ce0d41ff136d854eef53f0166babd3a",
     "edge/conflict(d_base=8,d_overlay=4,half=64)/random/csr":
         "aa7cd0b24754b9296af1715d408d89323003c993bce8039961342512a0505d42",
