@@ -13,6 +13,13 @@ import random
 
 import pytest
 
+from repro.baselines import (
+    run_flin_mittal,
+    run_greedy_binary_search,
+    run_naive_exchange,
+    run_one_round_sparsify,
+    run_vizing_gather,
+)
 from repro.coloring import (
     fournier_edge_coloring,
     greedy_edge_coloring,
@@ -23,15 +30,22 @@ from repro.core import (
     run_edge_coloring,
     run_vertex_coloring,
     run_zero_comm_edge_coloring,
+    weaker_from_streaming,
 )
 from repro.graphs import (
     PARTITIONERS,
     as_backend,
+    configuration_model_graph,
     gnp_random_graph,
     grid_graph,
     hypercube_graph,
     partition_random,
+    power_law_degree_sequence,
     random_regular_graph,
+)
+from repro.lowerbound.wstreaming import (
+    BufferedWStreamColorer,
+    GreedyWStreamColorer,
 )
 
 
@@ -49,6 +63,12 @@ WORKLOADS = [
     ("gnp-48", lambda rng: gnp_random_graph(48, 0.15, rng)),
     ("grid-8x8", lambda rng: grid_graph(8, 8)),
     ("hypercube-5", lambda rng: hypercube_graph(5)),
+    (
+        "power-law-64",
+        lambda rng: configuration_model_graph(
+            power_law_degree_sequence(64, 2.3, 16, rng), rng
+        ),
+    ),
 ]
 
 
@@ -120,3 +140,42 @@ def test_local_coloring_algorithms_parity(backend):
     assert fournier_edge_coloring(instance) == fournier_edge_coloring(
         as_backend(instance, backend)
     )
+
+
+@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.mark.parametrize(
+    "runner",
+    [
+        run_naive_exchange,
+        run_greedy_binary_search,
+        run_vizing_gather,
+        lambda part: run_one_round_sparsify(part, seed=9),
+        lambda part: run_flin_mittal(part, seed=9),
+    ],
+    ids=["naive", "greedy_binary_search", "vizing_gather", "one_round", "flin_mittal"],
+)
+def test_baseline_parity(runner, backend):
+    rng = random.Random(66)
+    part, bpart = _pair(random_regular_graph(40, 6, rng), rng, backend)
+    a = runner(part)
+    b = runner(bpart)
+    assert a.colors == b.colors
+    assert a.transcript.summary() == b.transcript.summary()
+
+
+@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda part: lambda: GreedyWStreamColorer(part.n, part.max_degree),
+        lambda part: lambda: BufferedWStreamColorer(part.n, 16),
+    ],
+    ids=["greedy", "buffered"],
+)
+def test_wstreaming_reduction_parity(factory, backend):
+    rng = random.Random(77)
+    part, bpart = _pair(gnp_random_graph(30, 0.2, rng), rng, backend)
+    a = weaker_from_streaming(part, factory(part))
+    b = weaker_from_streaming(bpart, factory(bpart))
+    assert a.colors == b.colors
+    assert a.transcript.summary() == b.transcript.summary()

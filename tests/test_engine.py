@@ -23,6 +23,7 @@ from repro.engine import (
     write_results,
 )
 from repro.core import run_vertex_coloring
+from repro.graphs import GRAPH_BACKENDS
 from repro.__main__ import main
 from repro.rand import kernels
 
@@ -353,6 +354,38 @@ def test_cli_rejects_the_removed_lockstep_transport(command, capsys):
     with pytest.raises(SystemExit):
         main([command, "--transport", "lockstep"])
     assert "invalid choice: 'lockstep'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--graphs"], ["--min-csr-speedup", "3"]])
+def test_cli_bench_rejects_the_removed_graphs_flags(flag, capsys):
+    with pytest.raises(SystemExit):
+        main(["bench", "--rand", *flag])
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "merge", "dispatch", "list-scenarios"])
+def test_cli_rejects_the_removed_bitset_backend(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--backend", "bitset"])
+    assert "invalid choice: 'bitset'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", sorted(GRAPH_BACKENDS))
+def test_cli_list_scenarios_pins_each_registered_backend(backend, capsys):
+    assert main(["list-scenarios", "--smoke", "--backend", backend]) == 0
+    names = capsys.readouterr().out.split()
+    coordinates = {s.coordinate for s in smoke_scenarios()}
+    assert len(names) == len(set(names)) == len(coordinates)
+    assert all(name.endswith(f"/{backend}") for name in names)
+
+
+def test_cli_list_scenarios_both_runs_every_registered_backend(capsys):
+    assert main(["list-scenarios", "--smoke", "--backend", "both"]) == 0
+    names = capsys.readouterr().out.split()
+    expected = {
+        s.with_backend(b).name for s in smoke_scenarios() for b in GRAPH_BACKENDS
+    }
+    assert sorted(names) == sorted(expected)
 
 
 def test_cli_bench_rejects_infeasible_workload(capsys):

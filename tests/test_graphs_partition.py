@@ -28,6 +28,11 @@ from repro.rand import kernels
 
 BACKENDS = ("set", "csr")
 
+#: Partition sources: every backend, plus a CSR graph with part of its edge
+#: set removed and re-added, so those edges sit in the pending mutation
+#: overlay when the partitioner first enumerates them.
+SOURCES = (*BACKENDS, "csr-staged")
+
 #: sha256 prefixes of ``repr(sorted(alice_edges))`` for every partitioner on
 #: ``random_regular_graph(200, 8, Random(7))`` with ``Random(11)``, as the
 #: eager edge-set construction computed them on every backend.  m = 800,
@@ -57,6 +62,22 @@ def kernel_mode(request):
 
 def _digest(edges) -> str:
     return hashlib.sha256(repr(sorted(edges)).encode()).hexdigest()[:16]
+
+
+def _on(graph, source):
+    """``graph`` on the backend a partition ``source`` names."""
+    if source != "csr-staged":
+        return as_backend(graph, source)
+    staged = as_backend(graph, "csr").copy()
+    moved = list(staged.edges())[::3]
+    for u, v in moved:
+        staged.remove_edge(u, v)
+    for u, v in moved:
+        staged.add_edge(u, v)
+    # has_edge/m read the overlay without compacting it away.
+    assert staged.m == graph.m and all(staged.has_edge(u, v) for u, v in moved)
+    assert staged._pending
+    return staged
 
 
 def _assert_csr_identical(graph, edges):
@@ -169,14 +190,14 @@ class TestPartitioners:
             assert part.alice_edges | part.bob_edges == set(g.edges()), name
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SOURCES)
 @pytest.mark.parametrize("name", sorted(PARTITIONERS))
 class TestMaskParity:
     """The owner mask reproduces the eager edge-set construction."""
 
     def test_edge_sets_match_eager_construction(self, regular, name, backend,
                                                 kernel_mode):
-        graph = as_backend(regular, backend)
+        graph = _on(regular, backend)
         part = PARTITIONERS[name](graph, random.Random(11))
         assert _digest(part.alice_edges) == EAGER_ALICE_DIGESTS[name]
         assert part.bob_edges == frozenset(regular.edges()) - part.alice_edges
@@ -185,13 +206,13 @@ class TestMaskParity:
         assert set(part.bob_graph.edges()) == part.bob_edges
 
     def test_csr_sides_match_edge_stream(self, regular, name, backend, kernel_mode):
-        part = PARTITIONERS[name](as_backend(regular, backend), random.Random(11))
+        part = PARTITIONERS[name](_on(regular, backend), random.Random(11))
         csr = part.astype("csr")
         _assert_csr_identical(csr.alice_graph, part.alice_edges)
         _assert_csr_identical(csr.bob_graph, part.bob_edges)
 
     def test_astype_chain_keeps_split(self, regular, name, backend, kernel_mode):
-        part = PARTITIONERS[name](as_backend(regular, backend), random.Random(11))
+        part = PARTITIONERS[name](_on(regular, backend), random.Random(11))
         chain = [part]
         for target in ("set", "csr", "set", "csr"):
             chain.append(chain[-1].astype(target))
@@ -203,10 +224,10 @@ class TestMaskParity:
             assert set(converted.bob_graph.edges()) == part.bob_edges
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SOURCES)
 class TestConstructor:
     def test_dedups_reversed_and_duplicate_tuples(self, backend):
-        g = as_backend(complete_graph(4), backend)
+        g = _on(complete_graph(4), backend)
         part = EdgePartition(g, [(1, 0), (0, 1), (0, 1), (3, 2)])
         assert part.alice_edges == {(0, 1), (2, 3)}
         assert part.bob_edges == {(0, 2), (0, 3), (1, 2), (1, 3)}
@@ -214,25 +235,25 @@ class TestConstructor:
 
     @pytest.mark.parametrize("foreign", [(0, 3), (3, 0), (2, 2)])
     def test_rejects_foreign_edges(self, backend, foreign):
-        g = as_backend(path_graph(4), backend)
+        g = _on(path_graph(4), backend)
         with pytest.raises(ValueError, match="not in graph"):
             EdgePartition(g, [(0, 1), foreign])
 
     def test_from_mask_rejects_malformed_masks(self, backend):
-        g = as_backend(complete_graph(4), backend)
+        g = _on(complete_graph(4), backend)
         with pytest.raises(ValueError):
             EdgePartition.from_mask(g, bytearray(5))
         with pytest.raises(ValueError):
             EdgePartition.from_mask(g, bytearray([0, 1, 2, 0, 1, 0]))
 
     def test_mask_is_immutable_and_owned(self, backend):
-        g = as_backend(complete_graph(4), backend)
+        g = _on(complete_graph(4), backend)
         mask = bytearray([1, 0, 1, 0, 1, 0])
         part = EdgePartition.from_mask(g, mask)
         mask[0] = 0
         assert isinstance(part.owner_mask, bytes)
         assert part.owner(0, 1) == "alice"
-        converted = part.astype("csr" if backend != "csr" else "set")
+        converted = part.astype("set" if backend.startswith("csr") else "csr")
         assert isinstance(converted.owner_mask, bytes)
         assert converted.owner_mask == part.owner_mask
 

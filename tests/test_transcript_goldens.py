@@ -27,6 +27,7 @@ from repro.core import (
 )
 from repro.engine import smoke_scenarios
 from repro.engine.runner import build_partition
+from repro.graphs import GRAPH_BACKENDS
 
 ALL_TRANSPORTS = sorted(TRANSPORTS)
 
@@ -192,6 +193,22 @@ def test_count_wire_with_the_log_on_matches_the_with_log_golden(scenario):
         part, scenario.effective_seed, _LoggedCount()
     )
     assert result.transcript.fingerprint(with_log=True) == WITH_LOG[scenario.name]
+
+
+@pytest.mark.parametrize("scenario", smoke_scenarios(), ids=lambda s: s.name)
+def test_transcript_golden_holds_on_every_backend(scenario):
+    """The backend is an execution detail: each pinned digest is reproduced
+    with the scenario's coordinate moved to every registered backend,
+    including those the smoke grid does not enumerate for it."""
+    driver = DRIVERS[scenario.protocol]
+    for backend in sorted(GRAPH_BACKENDS):
+        part = build_partition(scenario.with_backend(backend))
+        result = driver(part, scenario.effective_seed, "strict")
+        transcript = result.transcript
+        assert transcript.fingerprint() == AGGREGATE[scenario.name], backend
+        assert (
+            transcript.fingerprint(with_log=True) == WITH_LOG[scenario.name]
+        ), backend
 
 
 def test_fingerprint_is_accumulation_order_invariant():
