@@ -11,7 +11,6 @@ which is exactly the gap Theorems 1/2 close.
 from __future__ import annotations
 
 from ..comm.transport import Channel, Transport, resolve_transport
-from ..rand import Stream
 from ..core.slack import slack_find_proto
 from ..graphs.graph import Graph
 from ..graphs.partition import EdgePartition
@@ -39,14 +38,8 @@ def greedy_binary_search_proto(ch: Channel, own_graph: Graph, num_colors: int):
 def run_greedy_binary_search(
     partition: EdgePartition,
     transport: str | Transport | None = None,
-    seed: int | None = None,
-    rand: Stream | None = None,
 ) -> BaselineResult:
-    """Run the deterministic greedy + binary-search protocol, measured.
-
-    ``seed``/``rand`` are accepted for driver-signature uniformity; the
-    protocol is deterministic and draws nothing from them.
-    """
+    """Run the deterministic greedy + binary-search protocol, measured."""
     delta = partition.max_degree
     num_colors = delta + 1
     core = resolve_transport(transport)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from ..comm.bits import gamma_cost, uint_cost
 from ..comm.codecs import edge_list_codec
 from ..comm.transport import Channel, Transport, resolve_transport
-from ..rand import Stream
 from ..coloring.greedy import greedy_vertex_coloring
 from ..graphs.graph import Graph
 from ..graphs.partition import EdgePartition
@@ -36,14 +35,8 @@ def naive_exchange_proto(ch: Channel, own_graph: Graph, num_colors: int):
 def run_naive_exchange(
     partition: EdgePartition,
     transport: str | Transport | None = None,
-    seed: int | None = None,
-    rand: Stream | None = None,
 ) -> BaselineResult:
-    """Run the naive baseline on an edge-partitioned graph, measured.
-
-    ``seed``/``rand`` are accepted for driver-signature uniformity; the
-    protocol is deterministic and draws nothing from them.
-    """
+    """Run the naive baseline on an edge-partitioned graph, measured."""
     delta = partition.max_degree
     num_colors = delta + 1
     core = resolve_transport(transport)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from ..comm.bits import gamma_cost, uint_cost
 from ..comm.codecs import edge_list_codec
 from ..comm.transport import Channel, Transport, resolve_transport
-from ..rand import Stream
 from ..coloring.vizing import vizing_edge_coloring
 from ..graphs.graph import Graph, canonical_edge
 from ..graphs.partition import EdgePartition
@@ -49,14 +48,11 @@ def vizing_gather_proto(ch: Channel, own_graph: Graph, num_colors: int):
 def run_vizing_gather(
     partition: EdgePartition,
     transport: str | Transport | None = None,
-    seed: int | None = None,
-    rand: Stream | None = None,
 ) -> BaselineResult:
     """Measure the trivial ``(Δ+1)``-edge coloring protocol.
 
     The result's ``colors`` hold the union coloring; ``num_colors`` is the
-    Vizing palette ``Δ+1``.  ``seed``/``rand`` are accepted for
-    driver-signature uniformity; the protocol is deterministic.
+    Vizing palette ``Δ+1``.
     """
     delta = partition.max_degree
     num_colors = max(delta + 1, 1)

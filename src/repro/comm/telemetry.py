@@ -1,14 +1,14 @@
 """Gated hot-path counters for the comm layer.
 
-The comm hot loops (the pooled ``parallel`` driver and the batched
-Color-Sample fan-out) are paths the bench guards protect, so they
-cannot afford observer indirection — not even a method call — per
-event.  This module is the compromise: a few bare module-level
-integers behind a single ``enabled`` flag.  Each instrumented site
-reads ``telemetry.enabled`` (one attribute load and a branch) and, only
-when observability is on, bumps the counters in place.
-Disabled, the added cost is that one predictable branch; nothing is
-allocated either way.
+The batched Color-Sample fan-out
+(:func:`repro.core.color_sample.color_sample_batch_proto`) is a hot
+path the bench guards protect, so it cannot afford observer
+indirection — not even a method call — per event.  This module is the
+compromise: a few bare module-level integers behind a single
+``enabled`` flag.  The instrumented site reads ``telemetry.enabled``
+(one attribute load and a branch) and, only when observability is on,
+bumps the counters in place.  Disabled, the added cost is that one
+predictable branch; nothing is allocated either way.
 
 ``repro.obs`` owns the lifecycle: :func:`repro.obs.observing` calls
 :func:`reset` + :func:`enable` on entry and folds :func:`snapshot` into
@@ -26,13 +26,9 @@ from __future__ import annotations
 
 __all__ = ["disable", "enable", "enabled", "reset", "snapshot"]
 
-#: Master switch read inline by the instrumented comm site.
+#: Master switch read inline by the instrumented site.
 enabled = False
 
-#: ``parallel`` batch buffers checked out of a channel's freelist.
-pool_reused = 0
-#: ``parallel`` batch buffers freshly allocated (freelist empty/short).
-pool_allocated = 0
 #: Color-Sample fan-outs run (one per ``color_sample_batch_proto`` call,
 #: per party: a two-party run counts each fan-out twice).
 color_sample_fanouts = 0
@@ -57,10 +53,7 @@ def disable() -> None:
 
 def reset() -> None:
     """Zero every counter (does not touch ``enabled``)."""
-    global pool_reused, pool_allocated
     global color_sample_fanouts, color_sample_instances, color_sample_kernel_fanouts
-    pool_reused = 0
-    pool_allocated = 0
     color_sample_fanouts = 0
     color_sample_instances = 0
     color_sample_kernel_fanouts = 0
@@ -69,8 +62,6 @@ def reset() -> None:
 def snapshot() -> dict[str, float]:
     """The counters as a plain dict."""
     return {
-        "pool_reused": pool_reused,
-        "pool_allocated": pool_allocated,
         "color_sample_fanouts": color_sample_fanouts,
         "color_sample_instances": color_sample_instances,
         "color_sample_kernel_fanouts": color_sample_kernel_fanouts,

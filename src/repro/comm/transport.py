@@ -33,20 +33,10 @@ wire and that loop:
 
 Both produce bit-for-bit identical transcript aggregates.
 
-Pooling & object lifetimes
---------------------------
-
-The wire recycles exactly one kind of object: the keyed batch dicts that
-``parallel`` yields each round.  Two buffers are checked out of the
-channel's freelist per ``parallel`` invocation and alternated
-(double-buffered) across rounds.  The run loop advances the *sending*
-party before the *receiving* party consumes its previous item, so a batch
-yielded in round ``r`` may still be in flight while round ``r+1`` is being
-built — double-buffering makes that safe, and on exit the last-yielded
-buffer is dropped to the garbage collector rather than recycled (it may
-still be in flight), while the other buffer returns to the freelist.
-Payloads themselves are never pooled: whatever a sub-protocol receives it
-may retain forever.
+``parallel`` yields a fresh keyed batch dict each round, so a batch the
+peer still holds is never cleared or refilled, and payloads travel as the
+objects the sub-protocols posted: whatever a sub-protocol receives it may
+keep.
 """
 
 from __future__ import annotations
@@ -54,7 +44,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Generator, Hashable, Iterator, Mapping, Tuple
 
-from . import telemetry as _telemetry
 from .codecs import Codec, verify_declared_cost
 from .ledger import Transcript
 
@@ -103,10 +92,8 @@ def _spawn(spec: Any, ch: "Channel") -> Generator:
 class _Batch(dict):
     """Type tag for a parallel batch (a keyed payload dict).
 
-    A bare ``dict`` subclass so the pooled parallel driver can tell a real
-    batch from an arbitrary peer payload with one ``type`` check per
-    round.  Instances are pooled per channel; see the module docstring for
-    the lifetime rules.
+    A bare ``dict`` subclass so the parallel driver can tell a real batch
+    from an arbitrary peer payload with one ``type`` check per round.
     """
 
     __slots__ = ()
@@ -122,20 +109,18 @@ class Channel:
 
     Nothing is allocated per send: the payload itself is the wire item and
     the declared cost accumulates in :attr:`pending_bits`, which the
-    transport drains once per round.  Keyed parallel batches are pooled
-    dicts (see the module docstring), and sub-channels are the channel
+    transport drains once per round.  Sub-channels are the channel
     itself — a channel carries no per-exchange state beyond the shared
     tally and phase stack, so no per-key session objects exist at all.
     """
 
-    __slots__ = ("_phases", "pending_bits", "_pool")
+    __slots__ = ("_phases", "pending_bits")
 
     def __init__(self) -> None:
         self._phases: list[str] = []
         #: Declared bits committed since the transport last drained the
         #: tally (i.e. this round's outgoing cost).
         self.pending_bits = 0
-        self._pool: list[_Batch] = []
 
     # -- phase scoping ----------------------------------------------------
 
@@ -203,23 +188,15 @@ class Channel:
         ``{key: sub-protocol return value}``.
 
         Sub-channels are ``self`` (channels hold no per-exchange state),
-        outgoing batches are two freelist dicts alternated across rounds,
-        and finished sub-protocols are compacted out of flat parallel
-        key/generator lists in place — the per-round cost is one dict
-        clear plus one ``gen.send`` per live sub-protocol.
+        each round's outgoing batch is a fresh dict, and finished
+        sub-protocols are compacted out of flat parallel key/generator
+        lists in place — the per-round cost is one dict plus one
+        ``gen.send`` per live sub-protocol.
         """
         results: dict[Hashable, Any] = {}
         live_keys: list[Hashable] = []
         live_gens: list[Generator] = []
-        pool = self._pool
-        if _telemetry.enabled:
-            # One gated branch per parallel() invocation (not per round):
-            # how many of the two checkout buffers came off the freelist.
-            available = min(len(pool), 2)
-            _telemetry.pool_reused += available
-            _telemetry.pool_allocated += 2 - available
-        outgoing = pool.pop() if pool else _Batch()
-        spare = pool.pop() if pool else _Batch()
+        outgoing = _Batch()
         for key, spec in subprotocols.items():
             gen = _spawn(spec, self)
             try:
@@ -230,11 +207,6 @@ class Channel:
                 live_keys.append(key)
                 live_gens.append(gen)
                 outgoing[key] = item
-        if not live_keys:
-            # Nothing ever hit the wire: both buffers are still ours.
-            pool.append(outgoing)
-            pool.append(spare)
-            return results
         while live_keys:
             incoming = yield outgoing
             if type(incoming) is not _Batch:
@@ -242,11 +214,7 @@ class Channel:
                     "parallel composition expects a keyed batch from peer, "
                     f"got {type(incoming).__name__}"
                 )
-            # Alternate buffers: the batch just yielded may still be in
-            # flight (the transport advances us before the peer consumes
-            # it), but the one from two rounds ago has been delivered.
-            outgoing, spare = spare, outgoing
-            outgoing.clear()
+            outgoing = _Batch()
             get = incoming.get
             write = 0
             n_live = len(live_keys)
@@ -266,9 +234,6 @@ class Channel:
             if write != n_live:
                 del live_keys[write:]
                 del live_gens[write:]
-        # `spare` was yielded last round and may still be in flight to the
-        # peer — drop it to the GC; `outgoing` is empty and fully ours.
-        pool.append(outgoing)
         return results
 
 

@@ -29,9 +29,9 @@ from itertools import chain
 from ..comm import telemetry as _telemetry
 from ..comm.bits import BitWriter, uint_cost
 from ..comm.transport import Channel
-from ..rand import Permutation, Stream
+from ..rand import Stream
 from ..rand import kernels as _kernels
-from ..rand.perm import forward_tables
+from ..rand.perm import permutation_tables
 from .slack import SAMPLING_CONSTANT, randomized_slack_proto
 
 __all__ = ["color_sample_batch_proto", "color_sample_proto"]
@@ -58,7 +58,6 @@ def color_sample_proto(
     own_used: Set[int],
     pub: Stream,
     sampling_constant: int | None = None,
-    perm: Permutation | None = None,
 ):
     """One party's side of Color-Sample.
 
@@ -67,10 +66,7 @@ def color_sample_proto(
     side of the neighborhood.  Returns the sampled available color
     (1-based).  Both parties must pass the *same* ``pub`` stream state.
     ``sampling_constant`` overrides Algorithm 3's ``C`` (default 150) for
-    ablation studies.  ``perm`` is the public palette permutation when
-    the caller already drew it from ``pub`` (``pub.permutation(m)``, as
-    :func:`repro.rand.permutations` does for a whole fan-out); without
-    it the protocol draws it here.
+    ablation studies.
     """
     if num_colors < 1:
         raise ValueError(f"palette must be non-empty, got {num_colors}")
@@ -81,10 +77,7 @@ def color_sample_proto(
     # requested; above repro.rand's small-m threshold those are O(1)
     # Feistel queries, below it the whole table is materialized (cheaper
     # than cycle-walking at small palette sizes).
-    if perm is None:
-        perm = pub.permutation(num_colors)
-    elif perm.m != num_colors:
-        raise ValueError(f"permutation of {perm.m} for a palette of {num_colors}")
+    perm = pub.permutation(num_colors)
     own_positions = set(perm.index_of_batch([c - 1 for c in own_used]))
 
     constant = SAMPLING_CONSTANT if sampling_constant is None else sampling_constant
@@ -134,27 +127,25 @@ def color_sample_batch_proto(
     num_colors: int,
     used_sets: Sequence[Set[int]],
     streams: Sequence[Stream],
-    perms: Sequence[Permutation],
 ):
     """One party's side of ``K`` parallel Color-Sample instances.
 
     Instance ``i`` is ``color_sample_proto(ch, num_colors, used_sets[i],
-    streams[i], perm=perms[i])``, where ``perms[i]`` was
-    drawn from ``streams[i]`` (as :func:`repro.rand.permutations` does).
-    The fan-out costs the sum of the instances' bits and the max of their
-    rounds, as under :meth:`Channel.parallel`.  Returns ``{i: color}`` in
-    the order the instances finish (by round, then by ``i``): the dict
-    ``ch.parallel`` returns for the keys ``0..K-1``.  That order is kept
-    because callers fill sets in it and D1LC's list-coloring solver
-    draws from those sets in iteration order.
+    streams[i])``.  The fan-out costs the sum of the instances' bits and
+    the max of their rounds, as under :meth:`Channel.parallel`.  Returns
+    ``{i: color}`` in the order the instances finish (by round, then by
+    ``i``): the dict ``ch.parallel`` returns for the keys ``0..K-1``.
+    That order is kept because callers fill sets in it and D1LC's
+    list-coloring solver draws from those sets in iteration order.
 
     When numpy is available and the palette is in the range
-    :func:`~repro.rand.permutations` builds tables for in one batch
+    :func:`~repro.rand.perm.permutation_tables` builds byte tables for
     (``12 < m <= 96``, so every instance takes the saturated path, as
-    ``m <= C = 150``), the fan-out runs in lockstep over
-    ``K × m`` arrays: one message of the ``K`` counts, then one message
-    per Lemma A.1 bisection round holding the live instances' left-half
-    counts in instance order.  Each message declares the sum of the
+    ``m <= C = 150``), that one call draws every instance's palette
+    permutation and the fan-out runs in lockstep over ``K × m`` arrays:
+    one message of the ``K`` counts, then one message per Lemma A.1
+    bisection round holding the live instances' left-half counts in
+    instance order.  Each message declares the sum of the
     instances' widths, so bits, rounds, messages and the per-round log
     are the reference fan-out's.  Otherwise (no numpy, Lehmer or Feistel
     palettes) this is that reference fan-out: ``ch.parallel`` over
@@ -171,17 +162,16 @@ def color_sample_batch_proto(
     if m < 1:
         raise ValueError(f"palette must be non-empty, got {m}")
     k = len(used_sets)
-    if len(streams) != k or len(perms) != k:
+    if len(streams) != k:
         raise ValueError(
-            f"{k} used sets, {len(streams)} streams and {len(perms)} "
-            "permutations: one of each per instance"
+            f"{k} used sets and {len(streams)} streams: one of each per instance"
         )
     if not k:
         return {}
     # Tables exist only for m <= 96, below SAMPLING_CONSTANT: with them,
     # every instance takes the saturated path the lockstep runs.
     np = _kernels._np
-    tables = None if np is None else forward_tables(perms, m)
+    tables = None if np is None else permutation_tables(streams, m)
     if _telemetry.enabled:
         _telemetry.color_sample_fanouts += 1
         _telemetry.color_sample_instances += k
@@ -191,10 +181,8 @@ def color_sample_batch_proto(
         return (
             yield from ch.parallel(
                 {
-                    i: (color_sample_proto, m, used, stream, None, perm)
-                    for i, (used, stream, perm) in enumerate(
-                        zip(used_sets, streams, perms)
-                    )
+                    i: (color_sample_proto, m, used, stream)
+                    for i, (used, stream) in enumerate(zip(used_sets, streams))
                 }
             )
         )

@@ -37,7 +37,7 @@ from ..comm.codecs import (
     encode_flag_bitmap,
 )
 from ..comm.transport import Channel
-from ..rand import Stream, permutations
+from ..rand import Stream
 from ..coloring.greedy import greedy_d1lc_coloring
 from ..coloring.list_coloring import solve_list_coloring
 from ..graphs.graph import Graph
@@ -119,8 +119,8 @@ def d1lc_proto(
     palette = set(range(1, m + 1))
 
     # Step 1: palette sparsification via one Color-Sample fan-out over
-    # every (v, j) slot, with all the palette permutations drawn up front
-    # in one batch.  Samples join L(v) in the order the instances finish.
+    # every (v, j) slot.  Samples join L(v) in the order the instances
+    # finish.
     ell = sample_list_size(n_active)
     owners = []
     streams = []
@@ -131,7 +131,7 @@ def d1lc_proto(
             streams.append(v_base.derive(j))
     complements = {v: palette - set(own_lists[v]) for v in active}
     draws = yield from color_sample_batch_proto(
-        ch, m, [complements[v] for v in owners], streams, permutations(streams, m)
+        ch, m, [complements[v] for v in owners], streams
     )
     sampled: dict[int, set[int]] = {v: set() for v in active}
     for i, color in draws.items():

@@ -202,17 +202,15 @@ def zero_comm_edge_coloring_party(
 def run_zero_comm_edge_coloring(
     partition: EdgePartition,
     transport: str | Transport | None = None,
-    seed: int | None = None,
     rand: Stream | None = None,
 ) -> EdgeColoringResult:
     """Theorem 3 on an edge-partitioned graph: zero bits, zero rounds.
 
     ``transport`` only picks the (empty) transcript's flavor — the
     protocol never communicates, so every transport is trivially
-    identical here.  ``seed``/``rand`` are accepted for driver-signature
-    uniformity (every ``run_*`` driver composes under one root
-    :class:`~repro.rand.Stream`); the protocol is deterministic and
-    draws nothing from them.
+    identical here.  ``rand`` is accepted so the edge drivers compose
+    under one root :class:`~repro.rand.Stream` like the vertex driver;
+    the protocol is deterministic and draws nothing from it.
     """
     transcript = resolve_transport(transport).new_transcript()
     delta = partition.max_degree
@@ -369,14 +367,13 @@ def edge_coloring_proto(ch: Channel, role: str, own_graph: Graph, delta: int):
 def run_edge_coloring(
     partition: EdgePartition,
     transport: str | Transport | None = None,
-    seed: int | None = None,
     rand: Stream | None = None,
 ) -> EdgeColoringResult:
     """Theorem 2 on an edge-partitioned graph: ``O(n)`` bits, ``O(1)`` rounds.
 
-    ``seed``/``rand`` are accepted for driver-signature uniformity (every
-    ``run_*`` driver composes under one root :class:`~repro.rand.Stream`);
-    Theorem 2 is deterministic and draws nothing from them.
+    ``rand`` is accepted so the edge drivers compose under one root
+    :class:`~repro.rand.Stream` like the vertex driver; Theorem 2 is
+    deterministic and draws nothing from it.
     """
     delta = partition.max_degree
     num_colors = max(2 * delta - 1, 1)

@@ -23,7 +23,7 @@ import math
 
 from ..comm.bits import bitmap_cost
 from ..comm.transport import Channel
-from ..rand import Stream, permutations
+from ..rand import Stream
 from ..graphs.graph import Graph
 from .color_sample import color_sample_batch_proto
 # The reference stays importable from here: perfbench's tracer tests look
@@ -84,16 +84,13 @@ def random_color_trial_proto(
         if not awake:
             continue
 
-        # One Color-Sample fan-out over the awake vertices; every
-        # instance's palette permutation is drawn up front, in one batch.
+        # One Color-Sample fan-out over the awake vertices.
         iter_base = pub.derive("rct", iteration)
-        streams = [iter_base.derive(v) for v in awake]
         picks = yield from color_sample_batch_proto(
             ch,
             num_colors,
             [own_graph.neighbor_colors(v, colors) for v in awake],
-            streams,
-            permutations(streams, num_colors),
+            [iter_base.derive(v) for v in awake],
         )
         chosen = {awake[i]: color for i, color in picks.items()}
 

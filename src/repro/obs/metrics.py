@@ -2,9 +2,9 @@
 
 The registry is the out-of-band sink the layers report into when an
 observer is active: per-phase bits and rounds from the transcript
-ledger, pool counters from :mod:`repro.comm.telemetry`, retry and
-merge counters from the dispatcher, wall-time distributions from the
-runner.  ``snapshot()`` is deterministic (sorted keys throughout) and
+ledger, Color-Sample fan-out counters from :mod:`repro.comm.telemetry`,
+retry and merge counters from the dispatcher, wall-time distributions
+from the runner.  ``snapshot()`` is deterministic (sorted keys throughout) and
 ``write()`` emits one pretty-printed JSON document — never anything the
 canonical ``sweep.json`` path reads, which is what keeps observability
 strictly out-of-band.

@@ -11,7 +11,9 @@ The randomness substrate under every protocol in the library:
   ``perm.index_of(x)`` on demand via a Feistel network with cycle
   walking; no O(m) shuffle when only a few positions are read.
   :func:`permutations` draws one per stream for a whole parallel
-  fan-out, building the small tables in one numpy batch.
+  fan-out, building the small tables in one numpy batch;
+  :func:`.perm.permutation_tables` draws the same tables as one byte
+  matrix.
 * Geometric-skip sparse sampling (:meth:`Stream.sample_indices`) and
   batch draw primitives (:meth:`Stream.coins`, :meth:`Stream.ints`).
 

@@ -311,23 +311,24 @@ def feistel_batch(perm, xs, forward: bool) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def small_permutation_tables(keys: list[int], m: int) -> list[bytes]:
-    """The Fisher–Yates table of ``SmallPermutation(key, m)`` for every key.
+def small_permutation_tables(keys: list[int], m: int) -> bytes:
+    """The Fisher–Yates tables of ``SmallPermutation(key, m)``, one per key.
 
     Mirrors the ``m > 12`` branch of ``SmallPermutation._build``; the
-    caller guarantees ``13 <= m <= 255``, so every entry fits one byte and
-    each table comes back as an ``m``-byte ``bytes`` row (indexed like the
-    list the pure path builds).  Keys are processed :data:`PERM_CHUNK`
-    rows at a time.
+    caller guarantees ``13 <= m <= 255``, so every entry fits one byte.
+    Returns one ``len(keys) × m`` row-major blob: row ``r`` (bytes
+    ``r·m`` to ``(r+1)·m``) is key ``r``'s table, indexed like the list
+    the pure path builds.  Keys are processed :data:`PERM_CHUNK` rows at
+    a time.
     """
     np = _np
-    tables: list[bytes] = []
-    for start in range(0, len(keys), PERM_CHUNK):
-        tables.extend(_small_tables_chunk(np, keys[start:start + PERM_CHUNK], m))
-    return tables
+    return b"".join(
+        _small_tables_chunk(np, keys[start:start + PERM_CHUNK], m)
+        for start in range(0, len(keys), PERM_CHUNK)
+    )
 
 
-def _small_tables_chunk(np, keys: list[int], m: int) -> list[bytes]:
+def _small_tables_chunk(np, keys: list[int], m: int) -> bytes:
     k = len(keys)
     # Row i-1 holds swap step i for every key (column = key): the word
     # mix(key + i·GOLDEN) and its index j = (word·(i+1)) >> 64 in [0, i].
@@ -356,5 +357,4 @@ def _small_tables_chunk(np, keys: list[int], m: int) -> list[bytes]:
         saved = row.copy()
         row[:] = flat[at_j]
         flat[at_j] = saved
-    data = np.ascontiguousarray(table.T).tobytes()
-    return [data[r * m:(r + 1) * m] for r in range(k)]
+    return table.T.tobytes()

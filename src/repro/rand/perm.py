@@ -20,6 +20,8 @@ permutation without communication.
 :func:`permutations` draws one permutation from each of many streams;
 for a large enough batch of small tables it builds them all in one numpy
 kernel instead of one Python Fisher–Yates loop each.
+:func:`permutation_tables` draws the same permutations as bare forward
+tables, one byte row per stream, for callers that only need the tables.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ __all__ = [
     "FeistelPermutation",
     "Permutation",
     "SmallPermutation",
-    "forward_tables",
     "make_permutation",
+    "permutation_tables",
     "permutations",
     "SMALL_THRESHOLD",
 ]
@@ -280,28 +282,27 @@ def permutations(streams: Sequence, m: int) -> list[Permutation]:
         and all(type(p) is SmallPermutation and p._forward is None for p in perms)
     ):
         tables = _kernels.small_permutation_tables([p.key for p in perms], m)
-        for perm, table in zip(perms, tables):
-            perm._forward = table
+        for i, perm in enumerate(perms):
+            perm._forward = tables[i * m:(i + 1) * m]
     return perms
 
 
-def forward_tables(perms: Sequence[Permutation], m: int) -> bytes | None:
-    """Every permutation's forward table, joined into one byte matrix.
+def permutation_tables(streams: Sequence, m: int) -> bytes | None:
+    """The forward tables of :func:`permutations`, as one byte matrix.
 
-    Row ``i`` of the returned ``len(perms) × m`` matrix is
-    ``perms[i].materialize()``: the ``bytes`` row :func:`permutations`
-    built in its batch kernel where there is one (a batch of at least
-    :data:`~repro.rand.kernels.PERM_MIN_BATCH`), else the table built
-    here.  ``None`` unless ``m`` is in the range that kernel batches
-    (``12 < m <= SMALL_THRESHOLD``, so every entry fits one byte) and
-    every entry is a size-``m`` :class:`SmallPermutation`.
+    Row ``i`` of the returned ``len(streams) × m`` matrix is
+    ``streams[i].permutation(m).materialize()``: each stream's one key
+    word is drawn, in order, as ``Stream.permutation`` draws it, but no
+    permutation object is built.  A batch of at least
+    :data:`~repro.rand.kernels.PERM_MIN_BATCH` goes through the numpy
+    kernel when numpy is available, a smaller one through the pure
+    Fisher–Yates loop.  ``None``, drawing nothing, unless ``m`` is in the
+    range that kernel mirrors (``12 < m <= SMALL_THRESHOLD``, so every
+    entry fits one byte).
     """
     if not _LEHMER_MAX < m <= SMALL_THRESHOLD:
         return None
-    tables = []
-    for perm in perms:
-        if type(perm) is not SmallPermutation or perm.m != m:
-            return None
-        forward = perm._forward
-        tables.append(forward if type(forward) is bytes else bytes(perm.materialize()))
-    return b"".join(tables)
+    keys = [s.next64() for s in streams]
+    if _kernels._np is not None and len(keys) >= _kernels.PERM_MIN_BATCH:
+        return _kernels.small_permutation_tables(keys, m)
+    return b"".join(bytes(SmallPermutation(key, m).materialize()) for key in keys)

@@ -1,7 +1,7 @@
-"""An unpooled reference wire for checking the transports against.
+"""A reference wire for checking the transports against.
 
-Independent of ``repro.comm.transport``: no freelist, no compaction, no
-segment accounting — one fresh dict per ``parallel`` round, one
+Independent of ``repro.comm.transport``: no compaction, no segment
+accounting — one fresh dict per ``parallel`` round, one
 generator per key stepped in key order, and one ``record_round`` per
 round.  Tests run a channel protocol here and on the real transports and
 require identical results and with-log transcript fingerprints.
@@ -15,7 +15,7 @@ from repro.comm import ProtocolDesyncError, Transcript
 
 
 class FreshChannel:
-    """The channel surface protocols use, with nothing pooled or shared."""
+    """The channel surface protocols use, with nothing shared."""
 
     def __init__(self):
         self._phases = []

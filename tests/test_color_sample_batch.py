@@ -23,7 +23,7 @@ from repro.core import run_vertex_coloring
 from repro.core.color_sample import color_sample_batch_proto, color_sample_proto
 from repro.engine import Scenario
 from repro.engine.runner import build_partition
-from repro.rand import Stream, kernels, permutations
+from repro.rand import Stream, kernels
 
 PALETTES = (1, 2, 12, 13, 65, 96, 97, 150, 151)
 FAN_OUTS = (0, 1, 7, 8, 500)
@@ -53,14 +53,11 @@ def _streams(seed: int, k: int):
 
 def _reference(ch, m, used_sets, seed):
     streams = _streams(seed, len(used_sets))
-    perms = permutations(streams, m)
     return (
         yield from ch.parallel(
             {
-                i: (color_sample_proto, m, used, stream, None, perm)
-                for i, (used, stream, perm) in enumerate(
-                    zip(used_sets, streams, perms)
-                )
+                i: (color_sample_proto, m, used, stream)
+                for i, (used, stream) in enumerate(zip(used_sets, streams))
             }
         )
     )
@@ -68,11 +65,7 @@ def _reference(ch, m, used_sets, seed):
 
 def _batched(ch, m, used_sets, seed):
     streams = _streams(seed, len(used_sets))
-    return (
-        yield from color_sample_batch_proto(
-            ch, m, used_sets, streams, permutations(streams, m)
-        )
-    )
+    return (yield from color_sample_batch_proto(ch, m, used_sets, streams))
 
 
 def _run(proto, transport, m, alice, bob, seed):
@@ -134,13 +127,11 @@ def test_used_color_outside_the_palette_fails_before_any_round(numpy_on):
     m, k = 17, 20
     used_sets = [set() for _ in range(k)]
     used_sets[5] = {3, m + 1}
-    streams = _streams(0, k)
-    perms = permutations(streams, m)
     with pytest.raises(ValueError) as reference:
-        next(color_sample_proto(Channel(), m, used_sets[5], streams[5], None, perms[5]))
+        next(color_sample_proto(Channel(), m, used_sets[5], _streams(0, k)[5]))
     # The first advance raises: no round's message is ever yielded.
     with nullcontext() if numpy_on else kernels.disabled():
-        gen = color_sample_batch_proto(Channel(), m, used_sets, streams, perms)
+        gen = color_sample_batch_proto(Channel(), m, used_sets, _streams(0, k))
         with pytest.raises(ValueError) as batched:
             next(gen)
     assert str(batched.value) == str(reference.value)

@@ -27,6 +27,7 @@ from repro.rand import (
     kernels,
     permutations,
 )
+from repro.rand.perm import permutation_tables
 
 requires_numpy = pytest.mark.skipif(
     not kernels.available(), reason="numpy unavailable (or REPRO_NO_NUMPY set)"
@@ -254,8 +255,8 @@ class TestBatchPermutations:
         keys = [s.next64() for s in _perm_streams(300)]
         keys += [0, 1, (1 << 64) - 1]
         tables = kernels.small_permutation_tables(keys, m)
-        assert all(isinstance(t, bytes) and len(t) == m for t in tables)
-        assert [list(t) for t in tables] == [
+        assert isinstance(tables, bytes) and len(tables) == len(keys) * m
+        assert [list(tables[r * m:(r + 1) * m]) for r in range(len(keys))] == [
             SmallPermutation(key, m)._build() for key in keys
         ]
 
@@ -286,6 +287,34 @@ class TestBatchPermutations:
         assert [p.materialize() for p in got[:-1]] == [
             s.permutation(40).materialize() for s in _perm_streams(30)
         ]
+
+
+class TestPermutationTables:
+    """Row ``i`` of ``permutation_tables`` is stream ``i``'s permutation."""
+
+    @pytest.mark.parametrize("k", [1, 7, 8, kernels.PERM_CHUNK + 1])
+    @pytest.mark.parametrize("m", [13, 65, 96])
+    @pytest.mark.parametrize("kernels_on", [True, False], ids=["kernels", "pure"])
+    def test_rows_match_per_stream_permutations(self, k, m, kernels_on):
+        if kernels_on and not kernels.available():
+            pytest.skip("numpy unavailable (or REPRO_NO_NUMPY set)")
+        streams = _perm_streams(k)
+        if kernels_on:
+            tables = permutation_tables(streams, m)
+        else:
+            with kernels.disabled():
+                tables = permutation_tables(streams, m)
+        assert len(tables) == k * m
+        assert [list(tables[i * m:(i + 1) * m]) for i in range(k)] == [
+            s.permutation(m).materialize() for s in _perm_streams(k)
+        ]
+        assert [s.counter for s in streams] == [1] * k
+
+    @pytest.mark.parametrize("m", [1, 12, SMALL_THRESHOLD + 1])
+    def test_none_outside_the_byte_table_range_draws_nothing(self, m):
+        streams = _perm_streams(10)
+        assert permutation_tables(streams, m) is None
+        assert [s.counter for s in streams] == [0] * 10
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Tests for the stream-native driver signatures.
 
-Every ``run_*`` driver accepts ``rand=`` (a :class:`repro.rand.Stream`)
-with ``seed=`` kept as the back-compat alias, and the two must be
-bit-for-bit interchangeable: ``run(part, seed=s)`` and
-``run(part, rand=Stream.from_seed(s))`` draw the same tapes and produce
-identical colorings and transcripts.  Graph generators and partitioners
+Every randomized ``run_*`` driver accepts ``rand=`` (a
+:class:`repro.rand.Stream`) with ``seed=`` kept as the back-compat
+alias, and the two must be bit-for-bit interchangeable:
+``run(part, seed=s)`` and ``run(part, rand=Stream.from_seed(s))`` draw
+the same tapes and produce identical colorings and transcripts.  Graph generators and partitioners
 accept ``Stream | random.Random`` through :func:`repro.rand.as_random`.
 """
 
@@ -14,13 +14,7 @@ import random
 
 import pytest
 
-from repro.baselines import (
-    run_flin_mittal,
-    run_greedy_binary_search,
-    run_naive_exchange,
-    run_one_round_sparsify,
-    run_vizing_gather,
-)
+from repro.baselines import run_flin_mittal, run_one_round_sparsify
 from repro.core.edge_coloring import run_edge_coloring, run_zero_comm_edge_coloring
 from repro.core.vertex_coloring import run_vertex_coloring
 from repro.graphs import (
@@ -79,20 +73,13 @@ class TestSeedRandEquivalence:
 
 
 class TestDeterministicDriversAcceptUniformSignature:
-    """The deterministic drivers take seed/rand for signature uniformity."""
+    """The deterministic edge drivers take ``rand=`` and draw nothing from it."""
 
     def test_edge_drivers(self, part):
         base = run_edge_coloring(part)
-        with_rand = run_edge_coloring(part, seed=3, rand=Stream.from_seed(3))
-        _same_result(base, with_rand)
-        zero = run_zero_comm_edge_coloring(part, seed=3, rand=Stream.from_seed(3))
+        _same_result(base, run_edge_coloring(part, rand=Stream.from_seed(3)))
+        zero = run_zero_comm_edge_coloring(part, rand=Stream.from_seed(3))
         _same_result(run_zero_comm_edge_coloring(part), zero)
-
-    def test_deterministic_baselines(self, part):
-        for runner in (run_greedy_binary_search, run_naive_exchange, run_vizing_gather):
-            base = runner(part)
-            with_rand = runner(part, seed=3, rand=Stream.from_seed(3))
-            _same_result(base, with_rand)
 
 
 class TestAsRandom:
