@@ -27,7 +27,6 @@ from __future__ import annotations
 from ..graphs.graph import Edge, Graph
 from .fan import color_edge_with_fan
 from .state import EdgeColoringState
-from .vizing import common_free_color
 
 __all__ = ["fournier_edge_coloring"]
 
@@ -46,7 +45,7 @@ def fournier_edge_coloring(graph: Graph, num_colors: int | None = None) -> dict[
     if k < delta:
         raise ValueError(f"Fournier needs at least Δ = {delta} colors, got {k}")
     if k == delta:
-        heavy = {v for v in graph.vertices() if graph.degree(v) == delta}
+        heavy = {v for v, d in enumerate(graph.degrees()) if d == delta}
         if not graph.is_independent_set(heavy):
             raise ValueError(
                 "max-degree vertices are not an independent set; "
@@ -57,27 +56,23 @@ def fournier_edge_coloring(graph: Graph, num_colors: int | None = None) -> dict[
         # it, so no independence requirement and a single phase suffices.
         heavy = set()
 
-    state = EdgeColoringState(graph.n, k)
+    # Phase 1 edges first, then phase 2 edges as (center, leaf) pairs.
     phase_one: list[Edge] = []
     phase_two: list[Edge] = []
     for u, v in graph.edge_list():
-        if u in heavy or v in heavy:
+        if u in heavy:
             phase_two.append((u, v))
+        elif v in heavy:
+            phase_two.append((v, u))
         else:
             phase_one.append((u, v))
 
-    for u, v in phase_one:
-        _extend(state, u, v)
-    for u, v in phase_two:
-        center, leaf = (u, v) if u in heavy else (v, u)
-        _extend(state, center, leaf)
+    state = EdgeColoringState(graph.n, k)
+    common, assign = state.common_free_color, state.assign
+    for center, leaf in phase_one + phase_two:
+        color = common(center, leaf)
+        if color is not None:
+            assign(center, leaf, color)
+        else:
+            color_edge_with_fan(state, center, leaf)
     return state.colors()
-
-
-def _extend(state: EdgeColoringState, center: int, leaf: int) -> None:
-    """Color one edge: common free color if available, else a fan."""
-    color = common_free_color(state, center, leaf)
-    if color is not None:
-        state.assign(center, leaf, color)
-    else:
-        color_edge_with_fan(state, center, leaf)

@@ -1,10 +1,18 @@
-"""Mutable edge-coloring state with fast per-vertex color lookups.
+"""Mutable edge-coloring state with O(1) per-vertex color queries.
 
-Shared by the greedy, Vizing, and Fournier edge-coloring algorithms: at
-every vertex we maintain the map ``color → neighbor`` so that "which edge at
-``v`` has color ``c``?" and "which colors are free at ``v``?" are O(1) /
-O(k) respectively — the two queries fan rotation and Kempe-chain inversion
-perform constantly.
+Shared by the Vizing and Fournier edge colorings and the fan procedure.
+Every vertex keeps two views of its colored edges, both maintained by
+:meth:`EdgeColoringState.assign` and :meth:`EdgeColoringState.unassign`:
+
+* ``_at[v]``, the map ``color → neighbor``, answers "which edge at ``v``
+  has color ``c``?" — the query fan rotation and Kempe-chain inversion
+  walk by;
+* ``_used[v]``, an ``int`` bitmask with bit ``c`` set while a color-``c``
+  edge touches ``v``, answers "is ``c`` free at ``v``?" with one bit test
+  and "the lowest color free at both ``u`` and ``v``" with one
+  ``palette & ~(used[u] | used[v])``.  Reading set bits lowest first
+  gives the colors in the same increasing order a linear palette scan
+  would, so the masks pick exactly the colors a scan picks.
 """
 
 from __future__ import annotations
@@ -26,6 +34,9 @@ class EdgeColoringState:
         self.num_colors = num_colors
         self._edge_color: dict[Edge, int] = {}
         self._at: list[dict[int, int]] = [{} for _ in range(n)]
+        self._used: list[int] = [0] * n
+        #: Bits ``1..num_colors``: the palette as a mask.
+        self._palette = (1 << (num_colors + 1)) - 2
 
     # -- queries ----------------------------------------------------------
 
@@ -38,19 +49,27 @@ class EdgeColoringState:
         return self._at[v].get(color)
 
     def is_free(self, v: int, color: int) -> bool:
-        """True if no colored edge at ``v`` uses ``color``."""
-        return color not in self._at[v]
+        """True if no colored edge at ``v`` uses ``color`` (a non-negative int)."""
+        return not self._used[v] >> color & 1
 
     def free_colors(self, v: int) -> Iterator[int]:
         """Palette colors unused at ``v``, in increasing order."""
-        used = self._at[v]
-        for color in range(1, self.num_colors + 1):
-            if color not in used:
-                yield color
+        free = self._palette & ~self._used[v]
+        while free:
+            low = free & -free
+            yield low.bit_length() - 1
+            free ^= low
 
     def some_free_color(self, v: int) -> int | None:
         """The smallest free color at ``v`` (None if the palette is saturated)."""
-        return next(self.free_colors(v), None)
+        free = self._palette & ~self._used[v]
+        return (free & -free).bit_length() - 1 if free else None
+
+    def common_free_color(self, u: int, v: int) -> int | None:
+        """The smallest palette color free at both ``u`` and ``v``, if any."""
+        used = self._used
+        free = self._palette & ~(used[u] | used[v])
+        return (free & -free).bit_length() - 1 if free else None
 
     def colors(self) -> dict[Edge, int]:
         """A copy of the full edge-color assignment."""
@@ -70,18 +89,24 @@ class EdgeColoringState:
         edge = canonical_edge(u, v)
         if edge in self._edge_color:
             raise ValueError(f"edge {edge} already colored")
-        if color in self._at[u] or color in self._at[v]:
+        used = self._used
+        bit = 1 << color
+        if (used[u] | used[v]) & bit:
             raise ValueError(f"color {color} not free at an endpoint of {edge}")
         self._edge_color[edge] = color
         self._at[u][color] = v
         self._at[v][color] = u
+        used[u] |= bit
+        used[v] |= bit
 
     def unassign(self, u: int, v: int) -> int:
         """Remove the color of ``{u, v}`` and return it."""
-        edge = canonical_edge(u, v)
-        color = self._edge_color.pop(edge)
+        color = self._edge_color.pop(canonical_edge(u, v))
         del self._at[u][color]
         del self._at[v][color]
+        bit = 1 << color
+        self._used[u] ^= bit
+        self._used[v] ^= bit
         return color
 
     def recolor(self, u: int, v: int, color: int) -> None:

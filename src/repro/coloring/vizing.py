@@ -16,12 +16,10 @@ from .state import EdgeColoringState
 __all__ = ["common_free_color", "vizing_edge_coloring"]
 
 
-def common_free_color(state: EdgeColoringState, u: int, v: int) -> int | None:
-    """A palette color free at both endpoints, if any (fast path before fans)."""
-    for color in range(1, state.num_colors + 1):
-        if state.is_free(u, color) and state.is_free(v, color):
-            return color
-    return None
+#: A palette color free at both endpoints, if any (fast path before fans):
+#: ``common_free_color(state, u, v)``, the lowest set bit of the two
+#: endpoints' free masks.
+common_free_color = EdgeColoringState.common_free_color
 
 
 def vizing_edge_coloring(graph: Graph, num_colors: int | None = None) -> dict[Edge, int]:
@@ -36,10 +34,11 @@ def vizing_edge_coloring(graph: Graph, num_colors: int | None = None) -> dict[Ed
     if k < delta + 1:
         raise ValueError(f"Vizing needs at least Δ+1 = {delta + 1} colors, got {k}")
     state = EdgeColoringState(graph.n, k)
+    common, assign = state.common_free_color, state.assign
     for u, v in graph.edge_list():
-        color = common_free_color(state, u, v)
+        color = common(u, v)
         if color is not None:
-            state.assign(u, v, color)
+            assign(u, v, color)
         else:
             color_edge_with_fan(state, u, v)
     return state.colors()

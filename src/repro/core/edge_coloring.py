@@ -148,10 +148,13 @@ def peel_heavy_matching(graph: Graph, delta: int) -> tuple[Graph, list[Edge]]:
     # Degrees only drop, so an edge can qualify only before any removal at
     # its endpoints; one pass in canonical order implements the sequential
     # peel (each removal demotes both endpoints below Δ immediately).
-    for u, v in graph.edge_list():
-        if remaining.degree(u) == delta and remaining.degree(v) == delta:
+    degree = graph.degrees()
+    for u, v in graph.edges():
+        if degree[u] == delta and degree[v] == delta:
+            degree[u] -= 1
+            degree[v] -= 1
             remaining.remove_edge(u, v)
-            peeled.append(canonical_edge(u, v))
+            peeled.append((u, v))
     return remaining, peeled
 
 

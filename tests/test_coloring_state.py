@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.coloring import EdgeColoringState
+from repro.coloring import EdgeColoringState, color_edge_with_fan
 from repro.graphs import gnp_random_graph
 from repro.graphs.validation import assert_proper_edge_coloring
 
@@ -112,3 +112,98 @@ class TestKempeInversion:
             colored = s.colors()
             sub = g.subgraph_edges(colored.keys())
             assert_proper_edge_coloring(sub, colored, k)
+
+
+class TestRandomizedMasks:
+    """Random operation sequences against the state's two per-vertex views.
+
+    After every step each ``_used[v]`` must be the bitmask of ``_at[v]``'s
+    colors, and every free-color query must match its linear-scan
+    definition; the three ``assign`` rejections must still fire and leave
+    the state untouched.
+    """
+
+    @staticmethod
+    def _check(s: EdgeColoringState, k: int) -> None:
+        for v in range(s.n):
+            assert s._used[v] == sum(1 << c for c in s._at[v])
+            free = [c for c in range(1, k + 1) if c not in s._at[v]]
+            assert list(s.free_colors(v)) == free
+            assert s.some_free_color(v) == (free[0] if free else None)
+            for c in range(0, k + 2):
+                assert s.is_free(v, c) == (c not in s._at[v])
+        for u in range(s.n):
+            for v in range(s.n):
+                common = [
+                    c for c in range(1, k + 1) if c not in s._at[u] and c not in s._at[v]
+                ]
+                assert s.common_free_color(u, v) == (common[0] if common else None)
+        for (u, v), c in s.colors().items():
+            assert s._at[u][c] == v and s._at[v][c] == u
+        assert sum(map(len, s._at)) == 2 * s.colored_edge_count()
+
+    @staticmethod
+    def _rejections(s: EdgeColoringState, k: int, rng: random.Random, edges) -> None:
+        before = (s.colors(), list(s._used))
+        colored = list(s.colors().items())
+        uncolored = [e for e in edges if s.color_of(*e) is None]
+        if uncolored:
+            u, v = rng.choice(uncolored)
+            with pytest.raises(ValueError, match="outside palette"):
+                s.assign(u, v, rng.choice([0, k + 1]))
+            clashing = [
+                (u, v, c)
+                for u, v in uncolored
+                for c in range(1, k + 1)
+                if not s.is_free(u, c) or not s.is_free(v, c)
+            ]
+            if clashing:
+                u, v, c = rng.choice(clashing)
+                with pytest.raises(ValueError, match="not free"):
+                    s.assign(u, v, c)
+        if colored:
+            (u, v), c = rng.choice(colored)
+            with pytest.raises(ValueError, match="already colored"):
+                s.assign(v, u, rng.randint(1, k))
+        assert (s.colors(), list(s._used)) == before
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_operations_keep_masks_exact(self, seed):
+        rng = random.Random(seed)
+        g = gnp_random_graph(rng.randint(4, 12), rng.uniform(0.3, 0.9), rng)
+        k = g.max_degree() + 1 + rng.randint(0, 2)
+        edges = g.edge_list()
+        s = EdgeColoringState(g.n, k)
+        ops = ("assign", "fan", "unassign", "recolor", "kempe")
+        for _ in range(120):
+            op = rng.choice(ops)
+            colored = list(s.colors().items())
+            uncolored = [e for e in edges if s.color_of(*e) is None]
+            if op in ("assign", "fan") and uncolored:
+                u, v = rng.choice(uncolored)
+                if op == "fan":
+                    # k ≥ Δ+1: the fan procedure's preconditions always hold.
+                    color_edge_with_fan(s, u, v)
+                else:
+                    shared = [c for c in range(1, k + 1) if s.is_free(u, c) and s.is_free(v, c)]
+                    if shared:
+                        s.assign(u, v, rng.choice(shared))
+            elif op == "unassign" and colored:
+                (u, v), c = rng.choice(colored)
+                assert s.unassign(u, v) == c
+            elif op == "recolor" and colored:
+                (u, v), c = rng.choice(colored)
+                options = [
+                    d for d in range(1, k + 1) if d != c and s.is_free(u, d) and s.is_free(v, d)
+                ]
+                if options:
+                    s.recolor(u, v, rng.choice(options))
+            elif op == "kempe" and k >= 2:
+                start = rng.randrange(g.n)
+                alpha, beta = rng.sample(range(1, k + 1), 2)
+                if s.is_free(start, alpha) or s.is_free(start, beta):
+                    s.invert_kempe_path(start, alpha, beta)
+            self._check(s, k)
+            self._rejections(s, k, rng, edges)
+        colored = s.colors()
+        assert_proper_edge_coloring(g.subgraph_edges(colored), colored, k)

@@ -19,6 +19,7 @@ from repro.graphs import (
     GRAPH_BACKENDS,
     Graph,
     as_backend,
+    from_edge_stream,
     gnp_random_graph,
 )
 
@@ -68,7 +69,9 @@ def test_edges_iterate_in_sorted_canonical_order(backend):
 def test_add_remove_edge_contract(backend):
     g = _make(backend, 3)
     assert g.add_edge(0, 1) is True
-    assert g.add_edge(1, 0) is False  # already present
+    assert g.add_edge(0, 1) is False  # already present
+    assert g.add_edge(1, 0) is False  # reversed, already present
+    assert g.m == 1
     with pytest.raises(ValueError):
         g.add_edge(0, 0)
     with pytest.raises(ValueError):
@@ -77,6 +80,27 @@ def test_add_remove_edge_contract(backend):
     assert g.m == 0
     with pytest.raises(KeyError):
         g.remove_edge(0, 1)
+
+
+def test_edge_streams_reject_self_loops_and_collapse_repeats(backend):
+    """The loud-input contract of building from an edge stream.
+
+    Like ``add_edge`` (above), the constructor and ``from_edge_stream``
+    reject a self-loop with ``ValueError`` and keep a repeated or
+    reversed edge once.
+    """
+    stream = [(0, 1), (1, 0), (2, 3), (0, 1), (3, 2), (1, 2)]
+    clean = [(0, 1), (1, 2), (2, 3)]
+    for build in (
+        lambda edges: _make(backend, 4, iter(edges)),
+        lambda edges: as_backend(from_edge_stream(4, iter(edges)), backend),
+    ):
+        built = build(stream)
+        assert type(built) is GRAPH_BACKENDS[backend]
+        assert list(built.edges()) == clean
+        assert built.m == 3 and built.degrees() == [1, 2, 2, 1]
+        with pytest.raises(ValueError, match="self-loop"):
+            build([(0, 1), (3, 3), (1, 2)])
 
 
 def test_copy_is_independent(backend):
