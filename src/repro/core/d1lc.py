@@ -214,10 +214,11 @@ def _unpack_colors(packed: Sequence[int], active: Sequence[int]) -> dict[int, in
 def _induced_on(graph: Graph, active: Sequence[int]) -> Graph:
     """The subgraph induced on ``active``, relabelled to ``0..|active|-1``."""
     index = {v: i for i, v in enumerate(active)}
-    induced = type(graph)(len(active))
     packed = graph.pack_vertices(active)
-    for v in active:
-        for u in graph.neighbors_in(v, packed):
-            if v < u:
-                induced.add_edge(index[v], index[u])
-    return induced
+    edges = (
+        (index[v], index[u])
+        for v in active
+        for u in graph.neighbors_in(v, packed)
+        if v < u
+    )
+    return type(graph)(len(active), edges)

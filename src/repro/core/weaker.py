@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..comm.ledger import Transcript
-from ..graphs.graph import Edge, canonical_edge
+from ..graphs.graph import Edge
 from ..graphs.partition import EdgePartition
+from ..graphs.validation import _edge_clashes
 from .edge_coloring import EdgeColoringResult
 
 __all__ = [
@@ -93,19 +94,9 @@ def validate_weaker_result(
         problems.append(
             f"{len(bad_palette)} reports outside palette [1..{result.num_colors}]"
         )
-    for v in graph.vertices():
-        seen: dict[int, Edge] = {}
-        for u in graph.neighbors(v):
-            edge = canonical_edge(u, v)
-            color = merged.get(edge)
-            if color is None:
-                continue
-            if color in seen:
-                problems.append(
-                    f"edges {seen[color]} and {edge} share color {color} at {v}"
-                )
-                break
-            seen[color] = edge
+    colored = {e: c for e, c in merged.items() if e in edges}
+    for earlier, edge, color, v in _edge_clashes(graph, colored):
+        problems.append(f"edges {earlier} and {edge} share color {color} at {v}")
     return problems
 
 

@@ -15,10 +15,10 @@ pure-Python fallback builds the same arrays with a counting sort.  Both
 paths produce byte-identical buffers, and numpy scalars never escape —
 storage is ``array('q)'``, so every query returns plain Python ints.
 
-Mutations are staged: ``add_edge`` records into a pending overlay and
-``remove_edge`` edits rows in place (O(deg) shift), so the protocols'
-surgery loops never trigger a full O(n + m) rebuild per edge.  Reads
-that iterate rows first fold the overlay back into the compact arrays.
+The protocols build every graph in one constructor call and only remove
+edges afterwards (the Theorem 2/3 surgery on copies): ``remove_edge``
+shifts one row in place (O(deg)), leaving slack at the row's end, and
+``add_edge``, which no protocol calls, rebuilds the arrays (O(n + m)).
 Iteration orders match the backend contract exactly — neighbors
 enumerate in increasing order and ``edges()`` in sorted canonical order
 — so a protocol run on a ``CSRGraph`` consumes the shared random tape
@@ -127,7 +127,6 @@ def _assemble(n: int, indptr: array, indices: array) -> "CSRGraph":
     graph._indices = indices
     graph._deg = array("q", map(sub, indptr[1:], indptr[:-1]))
     graph._m = len(indices) // 2
-    graph._pending = {}
     graph._maxdeg = None
     return graph
 
@@ -201,50 +200,11 @@ class CSRGraph(Graph):
             indptr[v + 1] = len(indices)
         return _assemble(n, indptr, indices)
 
-    # -- the mutation overlay ---------------------------------------------
+    # -- row layout -------------------------------------------------------
     #
     # ``_indices[_indptr[v] : _indptr[v] + _deg[v]]`` is the live sorted
-    # row of ``v`` (removals leave slack between ``_deg[v]`` and the next
-    # offset); ``_pending`` holds symmetric staged additions.  Queries
-    # that touch a single row answer through both without rebuilding;
-    # row-iteration reads call ``_compact`` first.
-
-    def _compact(self) -> None:
-        if self._pending:
-            self._flush()
-
-    def _flush(self) -> None:
-        """Fold the pending overlay back into compact CSR arrays."""
-        pend, self._pending = self._pending, {}
-        n = self.n
-        old_indptr, old_indices, old_deg = self._indptr, self._indices, self._deg
-        total = sum(old_deg) + sum(len(extra) for extra in pend.values())
-        new_indptr = _zeros(n + 1)
-        new_indices = _zeros(total)
-        new_deg = _zeros(n)
-        write = 0
-        for v in range(n):
-            new_indptr[v] = write
-            start = old_indptr[v]
-            d = old_deg[v]
-            extra = pend.get(v)
-            if extra is None:
-                new_indices[write : write + d] = old_indices[start : start + d]
-                write += d
-                new_deg[v] = d
-            else:
-                for x in sorted([*old_indices[start : start + d], *extra]):
-                    new_indices[write] = x
-                    write += 1
-                new_deg[v] = d + len(extra)
-        new_indptr[n] = write
-        self._indptr, self._indices, self._deg = new_indptr, new_indices, new_deg
-
-    def _row_contains(self, u: int, v: int) -> bool:
-        start = self._indptr[u]
-        end = start + self._deg[u]
-        i = bisect_left(self._indices, v, start, end)
-        return i < end and self._indices[i] == v
+    # row of ``v``; removals leave slack between ``_deg[v]`` and the next
+    # offset, which every row read skips.
 
     def _row_remove(self, u: int, v: int) -> None:
         start = self._indptr[u]
@@ -257,76 +217,58 @@ class CSRGraph(Graph):
     # -- construction -----------------------------------------------------
 
     def add_edge(self, u: int, v: int) -> bool:
-        """Add edge ``{u, v}``; return False if it was already present."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-        if u == v:
-            raise ValueError(f"self-loops are not allowed: ({u}, {v})")
+        """Add edge ``{u, v}``; return False if it was already present.
+
+        Rebuilds the arrays, O(n + m); no protocol grows a graph edge by
+        edge.
+        """
         if self.has_edge(u, v):
             return False
-        self._pending.setdefault(u, set()).add(v)
-        self._pending.setdefault(v, set()).add(u)
-        self._m += 1
-        self._maxdeg = None
+        self.__dict__.update(from_edge_stream(self.n, [(u, v), *self.edges()]).__dict__)
         return True
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove edge ``{u, v}``; raise KeyError if absent."""
-        if not (0 <= u < self.n and 0 <= v < self.n) or not self.has_edge(u, v):
+        if not self.has_edge(u, v):
             raise KeyError(f"edge ({u}, {v}) not in graph")
-        extra = self._pending.get(u)
-        if extra is not None and v in extra:
-            extra.discard(v)
-            if not extra:
-                del self._pending[u]
-            other = self._pending[v]
-            other.discard(u)
-            if not other:
-                del self._pending[v]
-        else:
-            self._row_remove(u, v)
-            self._row_remove(v, u)
+        self._row_remove(u, v)
+        self._row_remove(v, u)
         self._m -= 1
         self._maxdeg = None
 
     def copy(self) -> "CSRGraph":
         """An independent deep copy (three flat array copies)."""
-        self._compact()
         clone = CSRGraph.__new__(CSRGraph)
         clone.n = self.n
         clone._indptr = array("q", self._indptr)
         clone._indices = array("q", self._indices)
         clone._deg = array("q", self._deg)
         clone._m = self._m
-        clone._pending = {}
         clone._maxdeg = self._maxdeg
         return clone
 
     # -- queries ----------------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
-        """True if ``{u, v}`` is an edge (binary search + overlay lookup)."""
+        """True if ``{u, v}`` is an edge (binary search in ``u``'s row)."""
         if not (0 <= u < self.n and 0 <= v < self.n):
             return False
-        if self._row_contains(u, v):
-            return True
-        extra = self._pending.get(u)
-        return extra is not None and v in extra
+        start = self._indptr[u]
+        end = start + self._deg[u]
+        i = bisect_left(self._indices, v, start, end)
+        return i < end and self._indices[i] == v
 
     def neighbors(self, v: int) -> set[int]:
         """The neighbor set of ``v`` (a fresh set)."""
         return set(self.iter_neighbors(v))
 
     def degree(self, v: int) -> int:
-        """Degree of ``v`` (no compaction: row length + overlay size)."""
-        extra = self._pending.get(v)
-        return self._deg[v] + (len(extra) if extra else 0)
+        """Degree of ``v``."""
+        return self._deg[v]
 
     def degrees(self) -> list[int]:
         """Degree sequence indexed by vertex."""
-        if not self._pending:
-            return list(self._deg)
-        return [self.degree(v) for v in range(self.n)]
+        return list(self._deg)
 
     def max_degree(self) -> int:
         """Maximum degree Δ (0 for the empty graph); cached until mutated."""
@@ -336,10 +278,6 @@ class CSRGraph(Graph):
 
     def edges(self) -> Iterator[Edge]:
         """Iterate edges in sorted canonical order (see the base contract)."""
-        self._compact()
-        return self._iter_edges()
-
-    def _iter_edges(self) -> Iterator[Edge]:
         indptr, indices, deg = self._indptr, self._indices, self._deg
         for u in range(self.n):
             start = indptr[u]
@@ -361,11 +299,10 @@ class CSRGraph(Graph):
         turns them into CSR — byte-identical to :func:`from_edge_stream`.
         """
         np = _kernels._np
-        if np is None:
+        # The vectorised pass reads the rows as one block, so removal slack
+        # (never present on a partition's input graph) takes the generic path.
+        if np is None or len(self._indices) != 2 * self._m:
             return super().split_by_mask(mask)
-        # Removals leave slack inside rows; the vectorised pass needs none.
-        if self._pending or len(self._indices) != 2 * self._m:
-            self._flush()
         n = self.n
         indptr = np.frombuffer(self._indptr, dtype=np.int64)
         dst = np.frombuffer(self._indices, dtype=np.int64)
@@ -388,13 +325,11 @@ class CSRGraph(Graph):
 
     def iter_neighbors(self, v: int) -> Iterator[int]:
         """Iterate the neighbors of ``v`` in increasing order."""
-        self._compact()
         start = self._indptr[v]
         return iter(self._indices[start : start + self._deg[v]])
 
     def neighbors_in(self, v: int, packed: frozenset) -> list[int]:
         """Neighbors of ``v`` inside a packed set, in increasing order."""
-        self._compact()
         start = self._indptr[v]
         row = self._indices[start : start + self._deg[v]]
         return [u for u in row if u in packed]
@@ -405,7 +340,6 @@ class CSRGraph(Graph):
         A short-circuiting row scan: O(deg) membership probes against the
         packed hash set, never materializing a neighbor list.
         """
-        self._compact()
         indices = self._indices
         start = self._indptr[v]
         for i in range(start, start + self._deg[v]):
@@ -415,7 +349,6 @@ class CSRGraph(Graph):
 
     def neighbor_colors(self, v: int, coloring: Mapping[int, int]) -> set[int]:
         """The colors that ``coloring`` assigns to neighbors of ``v``."""
-        self._compact()
         start = self._indptr[v]
         row = self._indices[start : start + self._deg[v]]
         return {coloring[u] for u in row if u in coloring}
@@ -430,7 +363,6 @@ class CSRGraph(Graph):
         compare colors through one awake-only dict — same booleans, no
         per-class pack over n-vertex collections.
         """
-        self._compact()
         indptr, indices, deg = self._indptr, self._indices, self._deg
         cmap = {v: chosen[v] for v in awake}
         get = cmap.get
@@ -452,7 +384,6 @@ class CSRGraph(Graph):
         One filtered row copy per member vertex — already-sorted rows stay
         sorted, so no re-sort pass is needed.
         """
-        self._compact()
         vset = set(vertices)
         indptr, indices, deg = self._indptr, self._indices, self._deg
         new_indptr = _zeros(self.n + 1)

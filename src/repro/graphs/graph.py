@@ -153,10 +153,7 @@ class Graph:
         """Edge union of two graphs on the same vertex set."""
         if other.n != self.n:
             raise ValueError(f"vertex-set mismatch: {self.n} != {other.n}")
-        merged = self.copy()
-        for u, v in other.edges():
-            merged.add_edge(u, v)
-        return merged
+        return type(self)(self.n, [*self.edges(), *other.edges()])
 
     def is_independent_set(self, vertices: Iterable[int]) -> bool:
         """True if no two of ``vertices`` are adjacent."""

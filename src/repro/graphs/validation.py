@@ -9,9 +9,11 @@ Each validator makes one pass over its input.  The vertex validators
 resolve "mapping or sequence" once per call, not per lookup.  The edge
 validator tests and sets one bit per color at both endpoints of each
 edge, so a clash is a bit already set; only on that failure path does it
-look up the earlier edge for the message.  The definition-level
-references (a per-vertex neighbor walk) live in ``tests/``, where a
-differential fuzz holds the two to the same verdicts and diagnostics.
+look up the earlier edge for the message.  The same pass over a partial
+coloring finds the clashes for ``repro.verify`` and ``repro.core.weaker``.
+The definition-level references (a per-vertex neighbor walk) live in
+``tests/``, where a differential fuzz holds the two to the same verdicts
+and diagnostics.
 """
 
 from __future__ import annotations
@@ -146,25 +148,48 @@ def assert_proper_edge_coloring(
         # Every edge is colored, so the surplus keys are non-edges.
         extra = sorted(set(normalized) - set(graph.edges()))
         raise AssertionError(f"colors keyed on non-edges: {extra[:5]}")
-    # Every key is now an edge and every edge colored: one pass sets each
-    # edge's color bit at both endpoints, and a bit already set is a clash.
-    # Bits index the distinct colors, so masks stay as narrow as the
-    # coloring whatever the color values are.
-    bit_of = {color: 1 << i for i, color in enumerate(set(values))}
+    # Every key is now an edge and every edge colored.
+    clashes = _edge_clashes(graph, normalized)
+    if clashes:
+        earlier, edge, color, w = clashes[0]
+        raise AssertionError(
+            f"edges {earlier} and {edge} share color {color} at vertex {w}"
+        )
+
+
+def _edge_clashes(
+    graph: Graph, colors: Mapping[Edge, int]
+) -> list[tuple[Edge, Edge, int, int]]:
+    """Every clash of a possibly partial edge coloring, in ``colors`` order.
+
+    ``colors`` is keyed by canonical edges of ``graph``; the edges it
+    leaves out are skipped.  One pass sets each edge's color bit at both
+    endpoints, and a bit already set at an endpoint ``w`` is a clash,
+    returned as ``(earlier, edge, color, w)`` where ``earlier`` is the
+    first edge of that color at ``w``.  Bits index the distinct colors,
+    so masks stay as narrow as the coloring whatever the color values
+    are.  Only when there are clashes does a second pass look up the
+    earlier edges.
+    """
+    bit_of = {color: 1 << i for i, color in enumerate(set(colors.values()))}
     used = [0] * graph.n
-    for edge, color in normalized.items():
+    found = []
+    for edge, color in colors.items():
         bit = bit_of[color]
         u, v = edge
         if (used[u] | used[v]) & bit:
-            w = u if used[u] & bit else v
-            earlier = next(
-                e for e, c in normalized.items() if c == color and w in e and e != edge
-            )
-            raise AssertionError(
-                f"edges {earlier} and {edge} share color {color} at vertex {w}"
-            )
+            found.append((edge, color, u if used[u] & bit else v))
         used[u] |= bit
         used[v] |= bit
+    if not found:
+        return []
+    wanted = {(w, color) for _, color, w in found}
+    first: dict[tuple[int, int], Edge] = {}
+    for edge, color in colors.items():
+        for w in edge:
+            if (w, color) in wanted:
+                first.setdefault((w, color), edge)
+    return [(first[w, color], edge, color, w) for edge, color, w in found]
 
 
 def is_proper_list_coloring(

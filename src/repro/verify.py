@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 from .core.edge_coloring import EdgeColoringResult
 from .core.vertex_coloring import VertexColoringResult
 from .graphs.partition import EdgePartition
-from .graphs.validation import (
-    vertex_coloring_conflicts,
-)
+from .graphs.validation import _edge_clashes, vertex_coloring_conflicts
 
 __all__ = ["VerificationReport", "verify_edge_result", "verify_vertex_result"]
 
@@ -113,20 +111,15 @@ def verify_edge_result(
             f"{len(out_of_palette)} edges outside palette [1..{num_colors}], "
             f"e.g. {out_of_palette[:3]}"
         )
-    for v in graph.vertices():
-        seen: dict[int, tuple[int, int]] = {}
-        for u in graph.neighbors(v):
-            edge = (min(u, v), max(u, v))
-            color = merged.get(edge)
-            if color is None:
-                report.fail(f"edge {edge} uncolored")
-                continue
-            if color in seen:
-                report.fail(
-                    f"edges {seen[color]} and {edge} share color {color} at {v}"
-                )
-                break
-            seen[color] = edge
+    colored = {}
+    for edge in graph.edges():
+        color = merged.get(edge)
+        if color is None:
+            report.fail(f"edge {edge} uncolored")
+        else:
+            colored[edge] = color
+    for earlier, edge, color, v in _edge_clashes(graph, colored):
+        report.fail(f"edges {earlier} and {edge} share color {color} at {v}")
     if zero_communication and result.transcript.total_bits != 0:
         report.fail(
             f"zero-communication protocol spent {result.transcript.total_bits} bits"

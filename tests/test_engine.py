@@ -23,7 +23,7 @@ from repro.engine import (
     write_results,
 )
 from repro.core import run_vertex_coloring
-from repro.graphs import GRAPH_BACKENDS
+from repro.graphs import GRAPH_BACKENDS, as_backend
 from repro.__main__ import main
 from repro.rand import kernels
 
@@ -165,6 +165,39 @@ def test_registry_grids_are_valid():
     for scenario in default_scenarios() + smoke_scenarios():
         assert scenario.family in FAMILIES
         assert scenario.protocol in PROTOCOLS
+
+
+#: Families that declare a degree cap, with the cap their parameters declare.
+CAPPED_FAMILIES = [
+    ("power_law", {"n": 300, "exponent": 2.2, "max_degree": 24}, 24),
+    ("social", {"n": 2000, "exponent": 2.3, "max_degree": 64}, 64),
+    ("social", {"n": 200, "exponent": 2.0, "max_degree": 150}, 150),
+    ("regular", {"n": 64, "d": 8}, 8),
+    ("conflict", {"half": 64, "d_base": 8, "d_overlay": 4}, 12),
+    ("bipartite_regular", {"half": 32, "d": 6}, 6),
+]
+
+
+@pytest.mark.parametrize("backend", sorted(GRAPH_BACKENDS))
+@pytest.mark.parametrize(
+    "family,params,cap",
+    CAPPED_FAMILIES,
+    ids=[f"{family}-cap{cap}" for family, _, cap in CAPPED_FAMILIES],
+)
+def test_families_never_exceed_their_declared_degree_cap(family, params, cap, backend):
+    coordinate = (family, tuple(params.items()), "random", "vertex")
+    for seed in range(20):
+        scenario = Scenario(*coordinate, seed=seed)
+        assert as_backend(build_workload(scenario), backend).max_degree() <= cap
+
+
+@pytest.mark.parametrize("backend", sorted(GRAPH_BACKENDS))
+@pytest.mark.parametrize("family", ["power_law", "social"])
+def test_degree_cap_not_below_n_is_rejected(family, backend):
+    params = (("exponent", 2.2), ("max_degree", 60), ("n", 50))
+    scenario = Scenario(family, params, "random", "vertex", backend=backend)
+    with pytest.raises(ValueError, match=r"max_degree must be in \[1, n\), got 60"):
+        build_partition(scenario)
 
 
 def test_write_results_and_table(tmp_path):

@@ -1,9 +1,9 @@
 """Unit tests for the CSR graph backend.
 
-Contract checks against the set backend, the mutation overlay (pending
-additions + in-row removals), the numpy/pure build-parity guarantee, and
-the backend-native confirmation sweep that ``repro.core.probes``
-dispatches to.
+Contract checks against the set backend, mutation (in-row removals,
+rebuilding additions) and the drivers' promise never to add an edge, the
+numpy/pure build-parity guarantee, and the backend-native confirmation
+sweep that ``repro.core.probes`` dispatches to.
 """
 
 from __future__ import annotations
@@ -12,12 +12,15 @@ import random
 
 import pytest
 
+from repro.core import run_vertex_coloring
+from repro.engine import build_partition, run_scenario, smoke_scenarios
 from repro.graphs import (
     CSRGraph,
     GRAPH_BACKENDS,
     Graph,
     GraphBuilder,
     as_backend,
+    assert_proper_vertex_coloring,
     from_edge_stream,
     gnp_random_graph,
 )
@@ -58,7 +61,7 @@ def test_queries_are_plain_python_ints():
 def test_add_remove_edge_contract():
     g = CSRGraph(3)
     assert g.add_edge(0, 1) is True
-    assert g.add_edge(1, 0) is False  # already present (still pending)
+    assert g.add_edge(1, 0) is False  # already present, reversed
     with pytest.raises(ValueError):
         g.add_edge(0, 0)
     with pytest.raises(ValueError):
@@ -69,31 +72,18 @@ def test_add_remove_edge_contract():
         g.remove_edge(0, 1)
 
 
-def test_pending_overlay_answers_without_compaction():
-    g = CSRGraph(6, [(0, 1), (2, 3)])
-    g.add_edge(0, 5)
-    # Single-row queries see the staged edge before any rebuild.
-    assert g._pending  # staged, not flushed
-    assert g.has_edge(0, 5) and g.has_edge(5, 0)
-    assert g.degree(0) == 2 and g.degree(5) == 1
-    assert g.degrees() == [2, 1, 1, 1, 0, 1]
-    assert g.max_degree() == 2
-    assert g._pending  # degree answers did not force a flush
-    # Row iteration folds the overlay in, in sorted order.
-    assert list(g.iter_neighbors(0)) == [1, 5]
-    assert not g._pending
-    assert list(g.edges()) == [(0, 1), (0, 5), (2, 3)]
+def test_add_edge_rebuilds_compact_arrays():
+    g = CSRGraph(6, [(0, 1), (0, 2), (2, 3)])
+    g.remove_edge(0, 2)  # leaves slack in rows 0 and 2
+    assert g.add_edge(5, 0) is True
+    reference = from_edge_stream(6, [(0, 1), (0, 5), (2, 3)])
+    assert g._indptr.tobytes() == reference._indptr.tobytes()
+    assert g._indices.tobytes() == reference._indices.tobytes()
+    assert list(g._deg) == list(reference._deg)
+    assert g.m == 3 and g.max_degree() == 2
 
 
-def test_remove_staged_edge_unstages_it():
-    g = CSRGraph(4, [(0, 1)])
-    g.add_edge(2, 3)
-    g.remove_edge(2, 3)
-    assert not g._pending and g.m == 1
-    assert not g.has_edge(2, 3)
-
-
-def test_remove_compacted_edge_shifts_row_in_place():
+def test_remove_edge_shifts_row_in_place():
     g = CSRGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     g.remove_edge(0, 2)
     assert g.degree(0) == 3 and g.m == 3
@@ -116,7 +106,8 @@ def test_max_degree_cache_invalidates_on_mutation():
 
 def test_copy_is_independent():
     g = CSRGraph(4, [(0, 1), (2, 3)])
-    g.add_edge(1, 2)  # leave a pending overlay at copy time
+    g.add_edge(1, 2)
+    g.remove_edge(2, 3)  # leave removal slack at copy time
     c = g.copy()
     assert c == g
     c.add_edge(0, 3)
@@ -227,3 +218,32 @@ def test_randomized_mirror_against_set_backend():
     for v in range(n):
         assert csr.has_neighbor_in(v, packed) == ref.has_neighbor_in(v, packed)
         assert csr.neighbors_in(v, packed) == ref.neighbors_in(v, packed)
+
+
+CSR_SMOKE = [s for s in smoke_scenarios() if s.backend == "csr"]
+
+
+@pytest.fixture
+def add_edge_refused(monkeypatch):
+    """``CSRGraph.add_edge`` raises: its O(n + m) rebuild has no protocol caller."""
+
+    def refuse(self, u, v):
+        raise AssertionError(f"add_edge({u}, {v}) called on a CSR graph")
+
+    monkeypatch.setattr(CSRGraph, "add_edge", refuse)
+
+
+@pytest.mark.usefixtures("add_edge_refused")
+@pytest.mark.parametrize("scenario", CSR_SMOKE, ids=lambda s: s.coordinate)
+def test_drivers_never_add_edges_to_csr_graphs(scenario):
+    assert run_scenario(scenario)["valid"]
+
+
+@pytest.mark.usefixtures("add_edge_refused")
+def test_d1lc_leftover_never_adds_edges_to_csr_graphs():
+    # With no trial iterations every vertex is left over, so Lemma 3.3's
+    # D1LC list-colors the graph induced on the whole vertex set.
+    part = build_partition(next(s for s in CSR_SMOKE if s.protocol == "vertex"))
+    result = run_vertex_coloring(part, seed=1, max_trial_iterations=0)
+    assert result.leftover_size == part.n
+    assert_proper_vertex_coloring(part.graph, result.colors, result.num_colors)

@@ -28,10 +28,10 @@ from repro.rand import kernels
 
 BACKENDS = ("set", "csr")
 
-#: Partition sources: every backend, plus a CSR graph with part of its edge
-#: set removed and re-added, so those edges sit in the pending mutation
-#: overlay when the partitioner first enumerates them.
-SOURCES = (*BACKENDS, "csr-staged")
+#: Partition sources: every backend, plus a CSR graph built with extra edges
+#: and then stripped of them, so its rows carry ``remove_edge`` slack when
+#: the partitioner enumerates them.
+SOURCES = (*BACKENDS, "csr-slack")
 
 #: sha256 prefixes of ``repr(sorted(alice_edges))`` for every partitioner on
 #: ``random_regular_graph(200, 8, Random(7))`` with ``Random(11)``, as the
@@ -66,18 +66,16 @@ def _digest(edges) -> str:
 
 def _on(graph, source):
     """``graph`` on the backend a partition ``source`` names."""
-    if source != "csr-staged":
+    if source != "csr-slack":
         return as_backend(graph, source)
-    staged = as_backend(graph, "csr").copy()
-    moved = list(staged.edges())[::3]
-    for u, v in moved:
-        staged.remove_edge(u, v)
-    for u, v in moved:
-        staged.add_edge(u, v)
-    # has_edge/m read the overlay without compacting it away.
-    assert staged.m == graph.m and all(staged.has_edge(u, v) for u, v in moved)
-    assert staged._pending
-    return staged
+    extra = [(u, v) for u in range(graph.n) for v in (u + 1, u + 3) if v < graph.n]
+    extra = [e for e in extra if not graph.has_edge(*e)]
+    slack = from_edge_stream(graph.n, [*graph.edges(), *extra])
+    for u, v in extra:
+        slack.remove_edge(u, v)
+    assert len(slack._indices) == 2 * (slack.m + len(extra))
+    assert list(slack.edges()) == list(graph.edges())
+    return slack
 
 
 def _assert_csr_identical(graph, edges):
@@ -276,14 +274,14 @@ class TestLazySides:
             _assert_csr_identical(part.bob_graph, part.bob_edges)
 
     @pytest.mark.usefixtures("kernel_mode")
-    def test_csr_split_folds_pending_mutations(self, regular):
+    def test_csr_split_after_mutations(self, regular):
         graph = as_backend(regular, "csr").copy()
-        removed = list(graph.edges())[::7]
-        for u, v in removed:
-            graph.remove_edge(u, v)
         for u in range(0, 40, 2):
             if not graph.has_edge(u, u + 101):
                 graph.add_edge(u, u + 101)
+        removed = list(graph.edges())[::7]
+        for u, v in removed:
+            graph.remove_edge(u, v)
         part = partition_random(graph, random.Random(5))
         _assert_csr_identical(part.alice_graph, part.alice_edges)
         _assert_csr_identical(part.bob_graph, part.bob_edges)

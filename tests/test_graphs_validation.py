@@ -14,6 +14,7 @@ from repro.graphs import (
     is_proper_vertex_coloring,
     vertex_coloring_conflicts,
 )
+from repro.graphs.validation import _edge_clashes
 
 
 class TestVertexValidation:
@@ -69,6 +70,15 @@ class TestEdgeValidation:
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(AssertionError, match="share color"):
             assert_proper_edge_coloring(g, {(0, 1): 1, (1, 2): 1})
+
+    def test_clashes_of_a_partial_coloring(self):
+        g = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        colors = {(0, 1): 1, (0, 3): 1, (3, 4): 1}  # (0, 2) left out
+        assert _edge_clashes(g, colors) == [
+            ((0, 1), (0, 3), 1, 0),
+            ((0, 3), (3, 4), 1, 3),
+        ]
+        assert _edge_clashes(g, {(0, 1): 1, (3, 4): 1}) == []
 
     def test_rejects_uncolored_edge(self):
         g = Graph(3, [(0, 1), (1, 2)])

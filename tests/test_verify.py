@@ -9,7 +9,7 @@ from repro.core import (
     run_vertex_coloring,
     run_zero_comm_edge_coloring,
 )
-from repro.graphs import partition_random, random_regular_graph
+from repro.graphs import EdgePartition, Graph, partition_random, random_regular_graph
 from repro.verify import verify_edge_result, verify_vertex_result
 
 
@@ -87,6 +87,15 @@ class TestEdgeVerification:
         side1[e1] = side2[e2]
         report = verify_edge_result(workload, res)
         assert any("share color" in p for p in report.problems)
+
+    def test_reports_each_uncolored_edge_once(self):
+        part = EdgePartition(Graph(4, [(0, 1), (1, 2), (2, 3)]), [(0, 1), (2, 3)])
+        res = run_edge_coloring(part)
+        del res.bob_colors[(1, 2)]
+        assert verify_edge_result(part, res).problems == [
+            "Bob's reported edges differ from his input edges",
+            "edge (1, 2) uncolored",
+        ]
 
     def test_detects_fake_zero_communication(self, workload):
         res = run_edge_coloring(workload)  # spent real bits
