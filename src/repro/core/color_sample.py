@@ -126,30 +126,33 @@ def color_sample_batch_proto(
     ch: Channel,
     num_colors: int,
     used_sets: Sequence[Set[int]],
-    streams: Sequence[Stream],
+    keys: Sequence[int],
 ):
     """One party's side of ``K`` parallel Color-Sample instances.
 
     Instance ``i`` is ``color_sample_proto(ch, num_colors, used_sets[i],
-    streams[i])``.  The fan-out costs the sum of the instances' bits and
-    the max of their rounds, as under :meth:`Channel.parallel`.  Returns
-    ``{i: color}`` in the order the instances finish (by round, then by
-    ``i``): the dict ``ch.parallel`` returns for the keys ``0..K-1``.
-    That order is kept because callers fill sets in it and D1LC's
-    list-coloring solver draws from those sets in iteration order.
+    Stream(keys[i]))``: ``keys`` holds one public stream key per instance
+    (a list of ints or a uint64 array, as
+    :func:`~repro.rand.core.derive_keys` returns for a fan-out's labels).
+    The fan-out costs the sum of the instances' bits and the max of their
+    rounds, as under :meth:`Channel.parallel`.  Returns ``{i: color}`` in
+    the order the instances finish (by round, then by ``i``): the dict
+    ``ch.parallel`` returns for the keys ``0..K-1``.  That order is kept
+    because callers fill sets in it and D1LC's list-coloring solver draws
+    from those sets in iteration order.
 
     When numpy is available and the palette is in the range
     :func:`~repro.rand.perm.permutation_tables` builds byte tables for
     (``12 < m <= 96``, so every instance takes the saturated path, as
-    ``m <= C = 150``), that one call draws every instance's palette
-    permutation and the fan-out runs in lockstep over ``K × m`` arrays:
-    one message of the ``K`` counts, then one message per Lemma A.1
-    bisection round holding the live instances' left-half counts in
-    instance order.  Each message declares the sum of the
-    instances' widths, so bits, rounds, messages and the per-round log
-    are the reference fan-out's.  Otherwise (no numpy, Lehmer or Feistel
-    palettes) this is that reference fan-out: ``ch.parallel`` over
-    ``color_sample_proto``.
+    ``m <= C = 150``), that one call builds every instance's palette
+    permutation from the keys and the fan-out runs in lockstep over
+    ``K × m`` arrays, with no per-instance stream: one message of the
+    ``K`` counts, then one message per Lemma A.1 bisection round holding
+    the live instances' left-half counts in instance order.  Each message
+    declares the sum of the instances' widths, so bits, rounds, messages
+    and the per-round log are the reference fan-out's.  Otherwise (no
+    numpy, Lehmer or Feistel palettes) this is that reference fan-out:
+    ``ch.parallel`` over ``color_sample_proto``, one ``Stream`` per key.
 
     A used color outside ``[1..m]`` raises ``ValueError`` before any
     round.  If some instance has ``|A| + |B| >= m`` (no free color is
@@ -162,16 +165,16 @@ def color_sample_batch_proto(
     if m < 1:
         raise ValueError(f"palette must be non-empty, got {m}")
     k = len(used_sets)
-    if len(streams) != k:
+    if len(keys) != k:
         raise ValueError(
-            f"{k} used sets and {len(streams)} streams: one of each per instance"
+            f"{k} used sets and {len(keys)} keys: one of each per instance"
         )
     if not k:
         return {}
     # Tables exist only for m <= 96, below SAMPLING_CONSTANT: with them,
     # every instance takes the saturated path the lockstep runs.
     np = _kernels._np
-    tables = None if np is None else permutation_tables(streams, m)
+    tables = None if np is None else permutation_tables(keys, m)
     if _telemetry.enabled:
         _telemetry.color_sample_fanouts += 1
         _telemetry.color_sample_instances += k
@@ -181,8 +184,8 @@ def color_sample_batch_proto(
         return (
             yield from ch.parallel(
                 {
-                    i: (color_sample_proto, m, used, stream)
-                    for i, (used, stream) in enumerate(zip(used_sets, streams))
+                    i: (color_sample_proto, m, used, Stream(int(key)))
+                    for i, (used, key) in enumerate(zip(used_sets, keys))
                 }
             )
         )

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping, Sequence
+from itertools import chain, repeat
 
 from ..comm.bits import gamma_cost, uint_cost
 from ..comm.codecs import (
@@ -37,7 +38,8 @@ from ..comm.codecs import (
     encode_flag_bitmap,
 )
 from ..comm.transport import Channel
-from ..rand import Stream
+from ..rand import Stream, derive_keys
+from ..rand import kernels as _kernels
 from ..coloring.greedy import greedy_d1lc_coloring
 from ..coloring.list_coloring import solve_list_coloring
 from ..graphs.graph import Graph
@@ -119,23 +121,17 @@ def d1lc_proto(
     palette = set(range(1, m + 1))
 
     # Step 1: palette sparsification via one Color-Sample fan-out over
-    # every (v, j) slot.  Samples join L(v) in the order the instances
-    # finish.
+    # every (v, j) slot, vertex-major: instance i is slot i % ell of
+    # active[i // ell], on the stream pub.derive("d1lc", v).derive(j).
     ell = sample_list_size(n_active)
-    owners = []
-    streams = []
-    for v in active:
-        v_base = pub.derive("d1lc", v)
-        for j in range(ell):
-            owners.append(v)
-            streams.append(v_base.derive(j))
-    complements = {v: palette - set(own_lists[v]) for v in active}
+    complements = [palette - set(own_lists[v]) for v in active]
     draws = yield from color_sample_batch_proto(
-        ch, m, [complements[v] for v in owners], streams
+        ch,
+        m,
+        list(chain.from_iterable(repeat(c, ell) for c in complements)),
+        _slot_keys(pub, active, ell),
     )
-    sampled: dict[int, set[int]] = {v: set() for v in active}
-    for i, color in draws.items():
-        sampled[owners[i]].add(color)
+    sampled = _sampled_lists(draws, active, ell)
 
     # Step 2: locally drop own edges with disjoint sampled lists (one int
     # bitmask per vertex, one AND per edge).
@@ -197,6 +193,46 @@ def d1lc_proto(
         codec=lambda p: encode_color_vector(p, m),
     )
     return colors
+
+
+def _slot_keys(pub: Stream, active: Sequence[int], ell: int):
+    """The sparsification fan-out's stream keys, vertex-major.
+
+    One scalar ``pub.derive("d1lc", v)`` per active vertex, then every
+    slot ``j`` in one :func:`~repro.rand.core.derive_keys` step over the
+    repeated vertex keys and the tiled slot numbers.
+    """
+    vertex_keys = [pub.derive("d1lc", v).key for v in active]
+    np = _kernels._np
+    if np is None:
+        parents = [key for key in vertex_keys for _ in range(ell)]
+        slots = list(range(ell)) * len(active)
+    else:
+        parents = np.repeat(np.array(vertex_keys, dtype=np.uint64), ell)
+        slots = np.tile(np.arange(ell, dtype=np.uint64), len(active))
+    return derive_keys(parents, slots)
+
+
+def _sampled_lists(
+    draws: Mapping[int, int], active: Sequence[int], ell: int
+) -> dict[int, set[int]]:
+    """``L(v)`` per active vertex from the sparsification fan-out's draws.
+
+    Instance ``i`` belongs to ``active[i // ell]``.  Each vertex's colors
+    join its set in the order its instances finished (``draws``' order),
+    so a stable sort by owner groups them without reordering.
+    """
+    np = _kernels._np
+    if np is None:
+        grouped: list[list[int]] = [[] for _ in active]
+        for i, color in draws.items():
+            grouped[i // ell].append(color)
+        return {v: set(colors) for v, colors in zip(active, grouped)}
+    k = len(draws)
+    index = np.fromiter(draws.keys(), dtype=np.intp, count=k)
+    colors = np.fromiter(draws.values(), dtype=np.intp, count=k)
+    flat = colors[np.argsort(index // ell, kind="stable")].tolist()
+    return {v: set(flat[r * ell:(r + 1) * ell]) for r, v in enumerate(active)}
 
 
 def _pack_colors(colors: dict[int, int] | None, active: Sequence[int]) -> tuple | None:

@@ -23,7 +23,7 @@ import math
 
 from ..comm.bits import bitmap_cost
 from ..comm.transport import Channel
-from ..rand import Stream
+from ..rand import Stream, derive_keys
 from ..graphs.graph import Graph
 from .color_sample import color_sample_batch_proto
 # The reference stays importable from here: perfbench's tracer tests look
@@ -85,12 +85,13 @@ def random_color_trial_proto(
             continue
 
         # One Color-Sample fan-out over the awake vertices.
+        # Instance v's stream is pub.derive("rct", iteration).derive(v).
         iter_base = pub.derive("rct", iteration)
         picks = yield from color_sample_batch_proto(
             ch,
             num_colors,
             [own_graph.neighbor_colors(v, colors) for v in awake],
-            [iter_base.derive(v) for v in awake],
+            derive_keys(iter_base.key, awake),
         )
         chosen = {awake[i]: color for i, color in picks.items()}
 

@@ -21,7 +21,8 @@ from typing import Any, Callable
 
 from ..core.vertex_coloring import run_vertex_coloring
 from ..graphs import EdgePartition
-from ..rand import Stream
+from ..rand import Stream, derive_keys
+from ..rand.perm import permutation_tables
 from .runner import build_partition
 from .scenarios import Scenario
 
@@ -89,6 +90,15 @@ def kernel_comparison(seed: int = 42, repeat: int = 5) -> list[dict[str, Any]]:
         (
             "kernel: feistel materialize m=4097",
             lambda: Stream.from_seed(seed, "bench-perm").permutation(4097).materialize(),
+        ),
+        (
+            # One Color-Sample fan-out's palette tables, from the parent
+            # key and the instance labels.
+            "kernel: derived permutation tables K=4096 m=17",
+            lambda: permutation_tables(
+                derive_keys(Stream.from_seed(seed, "bench-tables").key, range(4096)),
+                17,
+            ),
         ),
     ]
 

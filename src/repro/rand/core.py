@@ -40,6 +40,7 @@ __all__ = [
     "RandomSource",
     "Stream",
     "as_random",
+    "derive_keys",
     "derived_random",
     "mix64",
     "stable_label_hash",
@@ -106,6 +107,61 @@ def stable_label_hash(label: Label) -> int:
     raise TypeError(f"labels must be str, int, or tuples thereof, got {label!r}")
 
 
+def derive_keys(parent, labels):
+    """``[Stream(p).derive(label).key …]`` for a batch of int labels.
+
+    ``parent`` is one stream key for every row, or a sequence of per-row
+    keys as long as ``labels``.  Row ``i`` is the key :meth:`Stream.derive`
+    gives the parent of row ``i`` for the int label ``labels[i]``: the
+    two SplitMix64 steps ``mix((parent ^ _LABEL_DOMAIN) ^ mix((label ·
+    GOLDEN) ^ _INT_TAG))``.  A batch of at least
+    :data:`~repro.rand.kernels.PERM_MIN_BATCH` rows is computed as one
+    uint64 array when numpy is available and returned as that array;
+    otherwise a pure loop returns a list of ints.  The values are the same
+    either way.  Labels must lie in ``[0, 2^64)``: ``derive`` reduces
+    other ints mod ``2^64`` through its hash, which an array cannot
+    mirror, so they raise ``ValueError``.
+    """
+    k = len(labels)
+    per_row = not isinstance(parent, int)
+    if per_row and len(parent) != k:
+        raise ValueError(f"{len(parent)} parent keys for {k} labels")
+    if k:
+        if hasattr(labels, "dtype"):
+            low, high = int(labels.min()), int(labels.max())
+        else:
+            low, high = min(labels), max(labels)
+        if low < 0 or high > _MASK64:
+            raise ValueError(f"int labels must lie in [0, 2^64), got {low}..{high}")
+    np = _kernels._np
+    if np is not None and k >= _kernels.PERM_MIN_BATCH:
+        with np.errstate(over="ignore"):
+            keys = np.asarray(labels, dtype=np.uint64) * np.uint64(GOLDEN)
+        keys ^= np.uint64(_INT_TAG)
+        _kernels._mix_inplace(np, keys)
+        if per_row:
+            keys ^= np.asarray(parent, dtype=np.uint64)
+            keys ^= np.uint64(_LABEL_DOMAIN)
+        else:
+            keys ^= np.uint64((parent & _MASK64) ^ _LABEL_DOMAIN)
+        return _kernels._mix_inplace(np, keys)
+    if per_row:
+        parents = [int(p) ^ _LABEL_DOMAIN for p in parent]
+    else:
+        parents = [(parent & _MASK64) ^ _LABEL_DOMAIN] * k
+    out = []
+    append = out.append
+    for key, label in zip(parents, map(int, labels)):
+        h = ((label * GOLDEN) ^ _INT_TAG) & _MASK64
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
+        key ^= h ^ (h >> 31)
+        key = ((key ^ (key >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        key = ((key ^ (key >> 27)) * 0x94D049BB133111EB) & _MASK64
+        append(key ^ (key >> 31))
+    return out
+
+
 def _seed_key(seed: int) -> int:
     """Map an arbitrary integer seed onto a well-mixed stream key."""
     return mix64((seed & _MASK64) ^ _SEED_DOMAIN)
@@ -167,10 +223,11 @@ class Stream:
         yields the same child, and sibling derivations are independent of
         call order.  Use distinct labels for distinct sub-protocols.
 
-        Hot path for per-vertex/per-iteration sub-streams, so the int
-        label hash is inlined and str label hashes are memoized (both
-        must stay in lockstep with :func:`stable_label_hash`, pinned by
-        the golden tests).
+        The scalar reference for :func:`derive_keys`, which batches the
+        int-label case for the Color-Sample fan-outs.  The int label
+        hash is inlined and str label hashes are memoized (both must stay
+        in lockstep with :func:`stable_label_hash`, pinned by the golden
+        tests).
         """
         key = self.key ^ _LABEL_DOMAIN
         for label in labels:

@@ -134,6 +134,17 @@ def _words(np, key: int, counter: int, k: int):
     return _mix_inplace(np, x)
 
 
+def first_words(keys):
+    """Each stream key's first PRF word ``mix(key + GOLDEN)``, as uint64.
+
+    Mirrors ``Stream(key).next64()`` on a fresh stream, row by row.
+    """
+    np = _np
+    with np.errstate(over="ignore"):
+        x = np.asarray(keys, dtype=np.uint64) + np.uint64(_GOLDEN)
+    return _mix_inplace(np, x)
+
+
 def _mulhi(np, x, mult: int):
     """High 64 bits of ``x * mult`` per element (the Lemire range map).
 
@@ -311,15 +322,15 @@ def feistel_batch(perm, xs, forward: bool) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def small_permutation_tables(keys: list[int], m: int) -> bytes:
+def small_permutation_tables(keys, m: int) -> bytes:
     """The Fisher–Yates tables of ``SmallPermutation(key, m)``, one per key.
 
     Mirrors the ``m > 12`` branch of ``SmallPermutation._build``; the
     caller guarantees ``13 <= m <= 255``, so every entry fits one byte.
     Returns one ``len(keys) × m`` row-major blob: row ``r`` (bytes
     ``r·m`` to ``(r+1)·m``) is key ``r``'s table, indexed like the list
-    the pure path builds.  Keys are processed :data:`PERM_CHUNK` rows at
-    a time.
+    the pure path builds.  ``keys`` is a list of ints or a uint64 array;
+    it is processed :data:`PERM_CHUNK` rows at a time.
     """
     np = _np
     return b"".join(
@@ -328,7 +339,7 @@ def small_permutation_tables(keys: list[int], m: int) -> bytes:
     )
 
 
-def _small_tables_chunk(np, keys: list[int], m: int) -> bytes:
+def _small_tables_chunk(np, keys, m: int) -> bytes:
     k = len(keys)
     # Row i-1 holds swap step i for every key (column = key): the word
     # mix(key + i·GOLDEN) and its index j = (word·(i+1)) >> 64 in [0, i].

@@ -20,8 +20,9 @@ permutation without communication.
 :func:`permutations` draws one permutation from each of many streams;
 for a large enough batch of small tables it builds them all in one numpy
 kernel instead of one Python Fisher–Yates loop each.
-:func:`permutation_tables` draws the same permutations as bare forward
-tables, one byte row per stream, for callers that only need the tables.
+:func:`permutation_tables` builds the forward tables of a whole fan-out
+as one byte matrix, one row per stream key, for callers that only need
+the tables.
 """
 
 from __future__ import annotations
@@ -287,22 +288,26 @@ def permutations(streams: Sequence, m: int) -> list[Permutation]:
     return perms
 
 
-def permutation_tables(streams: Sequence, m: int) -> bytes | None:
-    """The forward tables of :func:`permutations`, as one byte matrix.
+def permutation_tables(keys: Sequence[int], m: int) -> bytes | None:
+    """The forward tables of a fan-out's permutations, as one byte matrix.
 
-    Row ``i`` of the returned ``len(streams) × m`` matrix is
-    ``streams[i].permutation(m).materialize()``: each stream's one key
-    word is drawn, in order, as ``Stream.permutation`` draws it, but no
-    permutation object is built.  A batch of at least
+    ``keys`` holds one stream key per row (a list of ints or a uint64
+    array, such as :func:`~repro.rand.core.derive_keys` returns).  Row
+    ``i`` of the returned ``len(keys) × m`` matrix is
+    ``Stream(keys[i]).permutation(m).materialize()``: the permutation is
+    keyed by the stream's first word ``mix(key + GOLDEN)``, but no stream
+    or permutation object is built.  A batch of at least
     :data:`~repro.rand.kernels.PERM_MIN_BATCH` goes through the numpy
-    kernel when numpy is available, a smaller one through the pure
-    Fisher–Yates loop.  ``None``, drawing nothing, unless ``m`` is in the
-    range that kernel mirrors (``12 < m <= SMALL_THRESHOLD``, so every
+    kernels (first words and tables) when numpy is available, a smaller
+    one through the pure Fisher–Yates loop.  ``None`` unless ``m`` is in
+    the range that kernel mirrors (``12 < m <= SMALL_THRESHOLD``, so every
     entry fits one byte).
     """
     if not _LEHMER_MAX < m <= SMALL_THRESHOLD:
         return None
-    keys = [s.next64() for s in streams]
     if _kernels._np is not None and len(keys) >= _kernels.PERM_MIN_BATCH:
-        return _kernels.small_permutation_tables(keys, m)
-    return b"".join(bytes(SmallPermutation(key, m).materialize()) for key in keys)
+        return _kernels.small_permutation_tables(_kernels.first_words(keys), m)
+    return b"".join(
+        bytes(SmallPermutation(_mix(int(key) + _GOLDEN), m).materialize())
+        for key in keys
+    )

@@ -23,7 +23,7 @@ from repro.core import run_vertex_coloring
 from repro.core.color_sample import color_sample_batch_proto, color_sample_proto
 from repro.engine import Scenario
 from repro.engine.runner import build_partition
-from repro.rand import Stream, kernels
+from repro.rand import Stream, derive_keys, kernels
 
 PALETTES = (1, 2, 12, 13, 65, 96, 97, 150, 151)
 FAN_OUTS = (0, 1, 7, 8, 500)
@@ -51,6 +51,11 @@ def _streams(seed: int, k: int):
     return [base.derive(i) for i in range(k)]
 
 
+def _keys(seed: int, k: int):
+    """The keys of :func:`_streams`, derived as one batch."""
+    return derive_keys(Stream.from_seed(seed).derive("batch").key, range(k))
+
+
 def _reference(ch, m, used_sets, seed):
     streams = _streams(seed, len(used_sets))
     return (
@@ -64,8 +69,8 @@ def _reference(ch, m, used_sets, seed):
 
 
 def _batched(ch, m, used_sets, seed):
-    streams = _streams(seed, len(used_sets))
-    return (yield from color_sample_batch_proto(ch, m, used_sets, streams))
+    keys = _keys(seed, len(used_sets))
+    return (yield from color_sample_batch_proto(ch, m, used_sets, keys))
 
 
 def _run(proto, transport, m, alice, bob, seed):
@@ -131,7 +136,7 @@ def test_used_color_outside_the_palette_fails_before_any_round(numpy_on):
         next(color_sample_proto(Channel(), m, used_sets[5], _streams(0, k)[5]))
     # The first advance raises: no round's message is ever yielded.
     with nullcontext() if numpy_on else kernels.disabled():
-        gen = color_sample_batch_proto(Channel(), m, used_sets, _streams(0, k))
+        gen = color_sample_batch_proto(Channel(), m, used_sets, _keys(0, k))
         with pytest.raises(ValueError) as batched:
             next(gen)
     assert str(batched.value) == str(reference.value)
@@ -236,6 +241,8 @@ def _count_parallel_calls(monkeypatch):
         ("social", (("exponent", 2.3), ("max_degree", 64), ("n", 2000)), None),
         # vertex-d1lc's shape: every vertex through D1LC's sparsification.
         ("regular", (("d", 16), ("n", 60)), 0),
+        # vertex-d1lc's exact shape (m = 17, 40,800 instances in one fan-out).
+        ("regular", (("d", 16), ("n", 300)), 0),
     ],
 )
 def test_theorem_1_fan_outs_never_reach_channel_parallel(

@@ -28,7 +28,7 @@ from repro.obs import (
     read_trace,
     summarize_phases,
 )
-from repro.rand import Stream, kernels
+from repro.rand import Stream, derive_keys, kernels
 
 
 def test_counter_monotone():
@@ -125,8 +125,8 @@ def test_comm_telemetry_counts_under_observing(tmp_path):
 def _color_sample_fan_outs(ch):
     """20 instances at m=17, then 5 at m=7 (no batched tables below 13)."""
     for m, k in ((17, 20), (7, 5)):
-        streams = [Stream.from_seed(k).derive(i) for i in range(k)]
-        yield from color_sample_batch_proto(ch, m, [set()] * k, streams)
+        keys = derive_keys(Stream.from_seed(k).key, range(k))
+        yield from color_sample_batch_proto(ch, m, [set()] * k, keys)
 
 
 def test_color_sample_telemetry_dead_when_no_observer_installed():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.rand import (
     FeistelPermutation,
     SmallPermutation,
     Stream,
+    derive_keys,
     kernels,
     permutations,
 )
@@ -290,7 +292,7 @@ class TestBatchPermutations:
 
 
 class TestPermutationTables:
-    """Row ``i`` of ``permutation_tables`` is stream ``i``'s permutation."""
+    """Row ``i`` of ``permutation_tables`` is ``Stream(keys[i])``'s permutation."""
 
     @pytest.mark.parametrize("k", [1, 7, 8, kernels.PERM_CHUNK + 1])
     @pytest.mark.parametrize("m", [13, 65, 96])
@@ -298,23 +300,104 @@ class TestPermutationTables:
     def test_rows_match_per_stream_permutations(self, k, m, kernels_on):
         if kernels_on and not kernels.available():
             pytest.skip("numpy unavailable (or REPRO_NO_NUMPY set)")
-        streams = _perm_streams(k)
+        keys = [s.key for s in _perm_streams(k)]
         if kernels_on:
-            tables = permutation_tables(streams, m)
+            tables = permutation_tables(keys, m)
         else:
             with kernels.disabled():
-                tables = permutation_tables(streams, m)
+                tables = permutation_tables(keys, m)
         assert len(tables) == k * m
         assert [list(tables[i * m:(i + 1) * m]) for i in range(k)] == [
             s.permutation(m).materialize() for s in _perm_streams(k)
         ]
-        assert [s.counter for s in streams] == [1] * k
 
     @pytest.mark.parametrize("m", [1, 12, SMALL_THRESHOLD + 1])
-    def test_none_outside_the_byte_table_range_draws_nothing(self, m):
-        streams = _perm_streams(10)
-        assert permutation_tables(streams, m) is None
-        assert [s.counter for s in streams] == [0] * 10
+    def test_none_outside_the_byte_table_range(self, m):
+        assert permutation_tables([s.key for s in _perm_streams(10)], m) is None
+
+
+#: Label edge cases: 0, 1, 2^32 and 2^63 - 1 in every batch.
+_EDGE_LABELS = [0, 1, 1 << 32, (1 << 63) - 1]
+
+
+def _derive_case(k: int, seed: int):
+    """``k`` random 64-bit parent keys and labels, led by the edge labels."""
+    rng = random.Random(seed)
+    labels = (_EDGE_LABELS + [rng.getrandbits(64) for _ in range(k)])[:k]
+    parents = [rng.getrandbits(64) for _ in range(k)]
+    return parents, labels
+
+
+class TestDeriveKeys:
+    """``derive_keys`` is ``Stream.derive`` on int labels, row by row."""
+
+    SIZES = [1, kernels.PERM_MIN_BATCH - 1, kernels.PERM_MIN_BATCH, 300]
+
+    @pytest.mark.parametrize("k", SIZES)
+    @pytest.mark.parametrize("kernels_on", [True, False], ids=["kernels", "pure"])
+    def test_keys_match_stream_derive(self, k, kernels_on):
+        if kernels_on and not kernels.available():
+            pytest.skip("numpy unavailable (or REPRO_NO_NUMPY set)")
+        for seed in range(3):
+            parents, labels = _derive_case(k, seed)
+            with nullcontext() if kernels_on else kernels.disabled():
+                per_row = derive_keys(parents, labels)
+                scalar = derive_keys(parents[0], labels)
+            assert [int(key) for key in per_row] == [
+                Stream(p).derive(label).key for p, label in zip(parents, labels)
+            ]
+            assert [int(key) for key in scalar] == [
+                Stream(parents[0]).derive(label).key for label in labels
+            ]
+
+    @requires_numpy
+    def test_array_inputs_and_dispatch(self):
+        np = kernels._np
+        parents, labels = _derive_case(300, 7)
+        got = derive_keys(np.array(parents, dtype=np.uint64),
+                          np.array(labels, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == derive_keys(parents, labels).tolist()
+        assert got.tolist() == [
+            Stream(p).derive(label).key for p, label in zip(parents, labels)
+        ]
+        small = derive_keys(parents[0], labels[:kernels.PERM_MIN_BATCH - 1])
+        assert type(small) is list
+        assert derive_keys(parents[0], []) == []
+
+    @pytest.mark.parametrize("m", [13, 17, 65, 96])
+    @pytest.mark.parametrize("k", [kernels.PERM_MIN_BATCH - 1, 300])
+    @pytest.mark.parametrize("kernels_on", [True, False], ids=["kernels", "pure"])
+    def test_tables_from_derived_keys_match_stream_permutations(
+        self, m, k, kernels_on
+    ):
+        if kernels_on and not kernels.available():
+            pytest.skip("numpy unavailable (or REPRO_NO_NUMPY set)")
+        parents, labels = _derive_case(k, m)
+        with nullcontext() if kernels_on else kernels.disabled():
+            tables = permutation_tables(derive_keys(parents, labels), m)
+        assert [list(tables[i * m:(i + 1) * m]) for i in range(k)] == [
+            Stream(p).derive(label).permutation(m).materialize()
+            for p, label in zip(parents, labels)
+        ]
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 64, -(1 << 63)])
+    @pytest.mark.parametrize("k", [1, 300])
+    @pytest.mark.parametrize("kernels_on", [True, False], ids=["kernels", "pure"])
+    def test_out_of_range_labels_raise(self, bad, k, kernels_on):
+        if kernels_on and not kernels.available():
+            pytest.skip("numpy unavailable (or REPRO_NO_NUMPY set)")
+        labels = list(range(k - 1)) + [bad]
+        with nullcontext() if kernels_on else kernels.disabled():
+            with pytest.raises(ValueError):
+                derive_keys(5, labels)
+            if kernels_on and bad < 0:
+                with pytest.raises(ValueError):
+                    derive_keys(5, kernels._np.array(labels, dtype=kernels._np.int64))
+
+    def test_parent_rows_must_match_labels(self):
+        with pytest.raises(ValueError):
+            derive_keys([1, 2, 3], [0, 1])
 
 
 # ---------------------------------------------------------------------------
