@@ -181,14 +181,12 @@ def color_sample_batch_proto(
         if tables is not None:
             _telemetry.color_sample_kernel_fanouts += 1
     if tables is None:
-        return (
-            yield from ch.parallel(
-                {
-                    i: (color_sample_proto, m, used, Stream(int(key)))
-                    for i, (used, key) in enumerate(zip(used_sets, keys))
-                }
-            )
-        )
+        tasks = {
+            i: (color_sample_proto, m, used, Stream(int(key)))
+            for i, (used, key) in enumerate(zip(used_sets, keys))
+        }
+        del keys  # the streams hold every key while the instances run
+        return (yield from ch.parallel(tasks))
     return (yield from _saturated_lockstep(ch, np, m, used_sets, tables))
 
 

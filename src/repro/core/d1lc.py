@@ -39,7 +39,6 @@ from ..comm.codecs import (
 )
 from ..comm.transport import Channel
 from ..rand import Stream, derive_keys
-from ..rand import kernels as _kernels
 from ..coloring.greedy import greedy_d1lc_coloring
 from ..coloring.list_coloring import solve_list_coloring
 from ..graphs.graph import Graph
@@ -200,17 +199,11 @@ def _slot_keys(pub: Stream, active: Sequence[int], ell: int):
 
     One scalar ``pub.derive("d1lc", v)`` per active vertex, then every
     slot ``j`` in one :func:`~repro.rand.core.derive_keys` step over the
-    repeated vertex keys and the tiled slot numbers.
+    repeated vertex keys and the cycled slot numbers.
     """
     vertex_keys = [pub.derive("d1lc", v).key for v in active]
-    np = _kernels._np
-    if np is None:
-        parents = [key for key in vertex_keys for _ in range(ell)]
-        slots = list(range(ell)) * len(active)
-    else:
-        parents = np.repeat(np.array(vertex_keys, dtype=np.uint64), ell)
-        slots = np.tile(np.arange(ell, dtype=np.uint64), len(active))
-    return derive_keys(parents, slots)
+    parents = [key for key in vertex_keys for _ in range(ell)]
+    return derive_keys(parents, list(range(ell)) * len(active))
 
 
 def _sampled_lists(
@@ -219,20 +212,12 @@ def _sampled_lists(
     """``L(v)`` per active vertex from the sparsification fan-out's draws.
 
     Instance ``i`` belongs to ``active[i // ell]``.  Each vertex's colors
-    join its set in the order its instances finished (``draws``' order),
-    so a stable sort by owner groups them without reordering.
+    join its set in the order its instances finished (``draws``' order).
     """
-    np = _kernels._np
-    if np is None:
-        grouped: list[list[int]] = [[] for _ in active]
-        for i, color in draws.items():
-            grouped[i // ell].append(color)
-        return {v: set(colors) for v, colors in zip(active, grouped)}
-    k = len(draws)
-    index = np.fromiter(draws.keys(), dtype=np.intp, count=k)
-    colors = np.fromiter(draws.values(), dtype=np.intp, count=k)
-    flat = colors[np.argsort(index // ell, kind="stable")].tolist()
-    return {v: set(flat[r * ell:(r + 1) * ell]) for r, v in enumerate(active)}
+    grouped: list[list[int]] = [[] for _ in active]
+    for i, color in draws.items():
+        grouped[i // ell].append(color)
+    return {v: set(colors) for v, colors in zip(active, grouped)}
 
 
 def _pack_colors(colors: dict[int, int] | None, active: Sequence[int]) -> tuple | None:

@@ -117,10 +117,10 @@ def derive_keys(parent, labels):
     GOLDEN) ^ _INT_TAG))``.  A batch of at least
     :data:`~repro.rand.kernels.PERM_MIN_BATCH` rows is computed as one
     uint64 array when numpy is available and returned as that array;
-    otherwise a pure loop returns a list of ints.  The values are the same
-    either way.  Labels must lie in ``[0, 2^64)``: ``derive`` reduces
-    other ints mod ``2^64`` through its hash, which an array cannot
-    mirror, so they raise ``ValueError``.
+    otherwise each row is ``Stream.derive`` itself, returned as a list of
+    ints.  The values are the same either way.  Labels must lie in
+    ``[0, 2^64)``: ``derive`` reduces other ints mod ``2^64`` through its
+    hash, which an array cannot mirror, so they raise ``ValueError``.
     """
     k = len(labels)
     per_row = not isinstance(parent, int)
@@ -146,20 +146,11 @@ def derive_keys(parent, labels):
             keys ^= np.uint64((parent & _MASK64) ^ _LABEL_DOMAIN)
         return _kernels._mix_inplace(np, keys)
     if per_row:
-        parents = [int(p) ^ _LABEL_DOMAIN for p in parent]
-    else:
-        parents = [(parent & _MASK64) ^ _LABEL_DOMAIN] * k
-    out = []
-    append = out.append
-    for key, label in zip(parents, map(int, labels)):
-        h = ((label * GOLDEN) ^ _INT_TAG) & _MASK64
-        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
-        key ^= h ^ (h >> 31)
-        key = ((key ^ (key >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        key = ((key ^ (key >> 27)) * 0x94D049BB133111EB) & _MASK64
-        append(key ^ (key >> 31))
-    return out
+        return [
+            Stream(int(p)).derive(int(label)).key for p, label in zip(parent, labels)
+        ]
+    stream = Stream(parent)
+    return [stream.derive(int(label)).key for label in labels]
 
 
 def _seed_key(seed: int) -> int:
