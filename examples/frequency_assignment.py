@@ -37,7 +37,6 @@ def build_interference_graph(
     most ``max_links`` strongest interferers.
     """
     positions = [(rng.random(), rng.random()) for _ in range(stations)]
-    graph = Graph(stations)
     candidates = []
     for i in range(stations):
         for j in range(i + 1, stations):
@@ -47,10 +46,14 @@ def build_interference_graph(
             if dist <= interference_radius:
                 candidates.append((dist, i, j))
     candidates.sort()
+    degree = [0] * stations
+    edges = []
     for _dist, i, j in candidates:
-        if graph.degree(i) < max_links and graph.degree(j) < max_links:
-            graph.add_edge(i, j)
-    return graph, positions
+        if degree[i] < max_links and degree[j] < max_links:
+            degree[i] += 1
+            degree[j] += 1
+            edges.append((i, j))
+    return Graph(stations, edges), positions
 
 
 def split_measurements(graph: Graph, rng: random.Random) -> EdgePartition:

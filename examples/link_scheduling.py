@@ -22,7 +22,6 @@ from collections import Counter
 from repro.core import run_edge_coloring, run_zero_comm_edge_coloring
 from repro.graphs import (
     EdgePartition,
-    Graph,
     assert_proper_edge_coloring,
     random_bipartite_regular,
 )
@@ -37,14 +36,7 @@ def build_fabric(rng: random.Random) -> EdgePartition:
     leaves = 64
     base = random_bipartite_regular(leaves, 8, rng)
     overlay = random_bipartite_regular(leaves, 4, rng)
-    union = Graph(2 * leaves)
-    alice_edges = []
-    for u, v in base.edges():
-        if union.add_edge(u, v):
-            alice_edges.append((u, v))
-    for u, v in overlay.edges():
-        union.add_edge(u, v)
-    return EdgePartition(union, alice_edges)
+    return EdgePartition(base.union(overlay), base.edges())
 
 
 def schedule_summary(colors: dict, num_slots: int) -> str:

@@ -6,10 +6,9 @@ Subcommands:
     Run a scenario grid through :func:`repro.engine.sweep` and write
     ``sweep.json`` + ``sweep.md`` result files.  ``--smoke`` selects the
     small CI grid; ``--large`` the million-vertex tier (power-law
-    social graphs on the CSR backend); ``--filter`` narrows any grid
-    by name substring;
-    ``--backend`` pins or duplicates the graph backend; ``--transport``
-    pins the comm transport (count / strict, or ``all``).
+    social graphs at n = 10⁵ and 10⁶); ``--filter`` narrows any grid
+    by name substring; ``--transport`` pins the comm transport (count /
+    strict, or ``all``).
     ``--shard k/N`` runs only this machine's stable-hash shard of the
     grid; ``--reps R`` replicates every scenario under derived rep seeds
     with mean/stddev/CI aggregation; ``--resume`` replays
@@ -86,7 +85,6 @@ from .engine import (
     sweep,
     write_results,
 )
-from .graphs import GRAPH_BACKENDS
 from .obs import (
     observing,
     read_trace,
@@ -99,7 +97,6 @@ from .obs import (
 __all__ = ["main"]
 
 _TRANSPORT_CHOICES = ("count", "strict")
-_BACKEND_CHOICES = (*GRAPH_BACKENDS, "both")
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -154,8 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "run the million-vertex tier (power-law social graphs at "
-            "n=1e5 and n=1e6 on the CSR backend) instead of the curated "
-            "grid — sparse-backend territory; see ARCHITECTURE.md"
+            "n=1e5 and n=1e6) instead of the curated grid; see "
+            "ARCHITECTURE.md"
         ),
     )
     sweep_p.add_argument(
@@ -163,12 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SUBSTR",
         help="only scenarios whose name contains SUBSTR",
-    )
-    sweep_p.add_argument(
-        "--backend",
-        choices=_BACKEND_CHOICES,
-        default=None,
-        help="pin every scenario to one graph backend ('both' runs them all)",
     )
     sweep_p.add_argument(
         "--transport",
@@ -258,9 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     merge_p.add_argument("--filter", default=None, metavar="SUBSTR")
     merge_p.add_argument(
-        "--backend", choices=_BACKEND_CHOICES, default=None
-    )
-    merge_p.add_argument(
         "--transport",
         choices=_TRANSPORT_CHOICES + ("all",),
         default="count",
@@ -303,9 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--large", action="store_true", help="the million-vertex grid"
     )
     dispatch_p.add_argument("--filter", default=None, metavar="SUBSTR")
-    dispatch_p.add_argument(
-        "--backend", choices=_BACKEND_CHOICES, default=None
-    )
     dispatch_p.add_argument(
         "--transport",
         choices=_TRANSPORT_CHOICES + ("all",),
@@ -505,9 +490,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     list_p.add_argument("--filter", default=None, metavar="SUBSTR")
     list_p.add_argument(
-        "--backend", choices=_BACKEND_CHOICES, default=None
-    )
-    list_p.add_argument(
         "--transport",
         choices=_TRANSPORT_CHOICES + ("all",),
         default="count",
@@ -533,7 +515,6 @@ def _select_scenarios(args: argparse.Namespace):
         iter_scenarios(
             grid,
             pattern=args.filter,
-            backend=args.backend,
             transport=getattr(args, "transport", None),
         )
     )
@@ -680,8 +661,6 @@ def _selection_argv(args: argparse.Namespace) -> list[str]:
         argv.append("--large")
     if args.filter is not None:
         argv += ["--filter", args.filter]
-    if args.backend is not None:
-        argv += ["--backend", args.backend]
     argv += ["--transport", args.transport]
     return argv
 

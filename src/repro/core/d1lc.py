@@ -235,11 +235,11 @@ def _unpack_colors(packed: Sequence[int], active: Sequence[int]) -> dict[int, in
 def _induced_on(graph: Graph, active: Sequence[int]) -> Graph:
     """The subgraph induced on ``active``, relabelled to ``0..|active|-1``."""
     index = {v: i for i, v in enumerate(active)}
-    packed = graph.pack_vertices(active)
+    members = frozenset(active)
     edges = (
         (index[v], index[u])
         for v in active
-        for u in graph.neighbors_in(v, packed)
+        for u in graph.neighbors_in(v, members)
         if v < u
     )
-    return type(graph)(len(active), edges)
+    return Graph(len(active), edges)

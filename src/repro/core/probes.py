@@ -2,14 +2,11 @@
 
 The per-vertex inner loops of Random-Color-Trial and D1LC spend their
 time asking set-membership questions vertex by vertex.  These helpers
-restate those questions as batch sweeps over packed masks:
+restate those questions as batch sweeps:
 
-* :func:`confirmation_bits` — the Algorithm 1 confirmation check, as a
-  *color-class sweep*: awake vertices are grouped by their trial color,
-  each class is packed once into the backend's native mask, and a vertex
-  conflicts iff it has a neighbor inside its own class — one
-  ``has_neighbor_in`` probe instead of walking every awake neighbor and
-  comparing colors.
+* :func:`confirmation_bits` — the Algorithm 1 confirmation check: each
+  awake vertex's adjacency row is scanned once against one awake-only
+  color dict, stopping at the first neighbor that chose the same color.
 * :func:`surviving_edges` — D1LC step 2's disjointness filter over int
   color bitmasks: each sampled list folds to one int, and an edge
   survives iff the endpoint masks intersect (``&`` + truthiness), with
@@ -40,29 +37,26 @@ def confirmation_bits(
     """One confirmation bit per awake vertex: no own-side conflict.
 
     Equivalent to ``all(chosen[u] != chosen[v] for u in N_own(v) ∩ awake)``
-    per awake ``v``: a neighbor disagrees on color exactly when it sits in
-    a *different* color class, so ``v`` is conflict-free iff it has no
-    neighbor inside its own class.  Each class is packed once; the sweep
-    is then one existence probe per vertex.
-
-    Backends may carry a native ``confirmation_bits`` method (the CSR
-    backend sweeps its index rows directly instead of packing per-class
-    masks); it must return exactly the booleans of the generic sweep
-    below.  The set backend defines no such hook and takes the generic
-    path unchanged.
+    per awake ``v``: one row scan per vertex, comparing colors through a
+    dict that holds only the awake vertices, so a sleeping neighbor never
+    matches.
     """
-    backend_sweep = getattr(own_graph, "confirmation_bits", None)
-    if backend_sweep is not None:
-        return backend_sweep(awake, chosen)
-    by_color: dict[int, list[int]] = {}
+    # Reads the CSR rows in place: slicing a row per vertex costs more
+    # than the scan, which usually stops early.
+    indptr, indices, deg = own_graph._indptr, own_graph._indices, own_graph._deg
+    colors = {v: chosen[v] for v in awake}
+    get = colors.get
+    bits = []
     for v in awake:
-        by_color.setdefault(chosen[v], []).append(v)
-    class_packed = {
-        color: own_graph.pack_vertices(members)
-        for color, members in by_color.items()
-    }
-    has_neighbor_in = own_graph.has_neighbor_in
-    return tuple(not has_neighbor_in(v, class_packed[chosen[v]]) for v in awake)
+        color = colors[v]
+        start = indptr[v]
+        for i in range(start, start + deg[v]):
+            if get(indices[i]) == color:
+                bits.append(False)
+                break
+        else:
+            bits.append(True)
+    return tuple(bits)
 
 
 def surviving_edges(

@@ -2,8 +2,8 @@
 
 ``repro.engine`` is the layer between the protocol library and the
 experiment harness: it names every experiment coordinate (graph family ×
-parameters × partition scheme × protocol × graph backend × transport) as
-a :class:`Scenario`, runs batches of them — serially, across a
+parameters × partition scheme × protocol × transport) as a
+:class:`Scenario`, runs batches of them — serially, across a
 ``multiprocessing`` pool, or sharded over many machines — with
 per-scenario seeding, per-process workload caching, replication
 (``reps``), and a crash-resumable journal, and emits deterministic JSON +

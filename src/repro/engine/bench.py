@@ -9,9 +9,9 @@ d-regular, n=512, d=10) with observability off and on — the row behind
 the ``bench --max-obs-overhead`` CI ceiling.
 
 ``kernel_comparison`` times the numpy kernels of ``repro.rand`` against
-the pure-Python paths they are bit-for-bit equal to.  Whole-run timing,
-including the graph backends, against an earlier commit is
-``perfbench``'s job (``perfbench/ab.py``), not this module's.
+the pure-Python paths they are bit-for-bit equal to.  Whole-run timing
+against an earlier commit is ``perfbench``'s job (``perfbench/ab.py``),
+not this module's.
 """
 
 from __future__ import annotations

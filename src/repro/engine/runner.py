@@ -2,7 +2,7 @@
 
 Workloads are memoized per process: scenarios that share a (family,
 params, seed) coordinate reuse the generated graph, and partitioned
-instances are cached per (workload, partition scheme, backend), so a sweep
+instances are cached per (workload, partition scheme), so a sweep
 over many protocols on the same workload builds it once instead of once
 per scenario.  Each scenario runs on its own stable seed (a hash of its
 name unless pinned), so results are independent of sweep order, filtering,
@@ -73,33 +73,27 @@ def build_workload(scenario: Scenario) -> Graph:
 
 @lru_cache(maxsize=256)
 def _cached_partition(
-    family: str, params: tuple, seed: int, partition: str, backend: str
+    family: str, params: tuple, seed: int, partition: str
 ) -> EdgePartition:
     graph = _cached_workload(family, params, seed)
     # The partitioner draws from its own labelled stream so adding
     # partition schemes never perturbs workload generation.
     rng = derived_random(seed, "partition")
-    part = PARTITIONERS[partition](graph, rng)
-    return part.astype(backend)
+    return PARTITIONERS[partition](graph, rng)
 
 
 def build_partition(scenario: Scenario) -> EdgePartition:
-    """The scenario's partitioned instance, on the scenario's backend.
+    """The scenario's partitioned instance.
 
-    The partitioner runs on the graph as the family builds it (set-backed
-    for most families, CSR for ``social``) and emits an owner mask, one
-    byte per edge in ``edges()`` order.  ``astype`` converts the graph to
-    the scenario's backend and carries the mask over verbatim, so the
-    same coordinate describes the same edge split on every backend — the
-    invariant the parity tests pin down.  The side graphs are built on
-    first use, on the scenario's backend only.
+    The partitioner emits an owner mask, one byte per edge in
+    ``edges()`` order, over the graph the family builds; the side graphs
+    are built from it on first use.
     """
     return _cached_partition(
         scenario.family,
         scenario.params,
         scenario.effective_seed,
         scenario.partition,
-        scenario.backend,
     )
 
 

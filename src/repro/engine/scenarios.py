@@ -6,7 +6,7 @@ axis is referenced by name so scenarios serialize to JSON, hash stably
 registry exposes curated grids rather than the full cross product: the
 default sweep covers the regimes the paper's experiments E1–E20 care
 about, and the smoke grid is a minutes-free subset touching every
-protocol, every graph backend, and the adversarial partition extremes.
+protocol and the adversarial partition extremes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from ..core.edge_coloring import (
 )
 from ..core.vertex_coloring import run_vertex_coloring
 from ..graphs import (
-    GRAPH_BACKENDS,
     PARTITIONERS,
     Graph,
     barbell_of_stars,
@@ -34,7 +33,6 @@ from ..graphs import (
     configuration_model_edge_stream,
     configuration_model_graph,
     conflict_union_graph,
-    from_edge_stream,
     gnp_random_graph,
     grid_graph,
     hypercube_graph,
@@ -65,18 +63,20 @@ class Scenario:
     ``seed`` drives both workload generation and the protocol's
     public/private tapes, and defaults to a stable hash of the
     (family, params) workload key — scenarios sharing a workload
-    deliberately share randomness so that protocol, partition, and backend
+    deliberately share randomness so that protocol and partition
     comparisons run on the identical instance (see :meth:`workload_key`).
     ``transport`` picks the comm-simulation transport (count / strict);
-    both yield identical transcript aggregates, so, like the graph
-    backend, it is a pure execution axis.
+    both yield identical transcript aggregates, so it is a pure execution
+    axis.  ``backend`` names the graph representation; ``"csr"`` is the
+    only one, kept as a field because scenario names and sweep records
+    carry it.
     """
 
     family: str
     params: tuple[tuple[str, Any], ...]
     partition: str
     protocol: str
-    backend: str = "set"
+    backend: str = "csr"
     seed: int | None = None
     transport: str = "count"
 
@@ -91,8 +91,8 @@ class Scenario:
             raise ValueError(f"unknown partition scheme {self.partition!r}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.backend not in GRAPH_BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
+        if self.backend != "csr":
+            raise ValueError(f"unknown backend {self.backend!r}; the only one is 'csr'")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
 
@@ -100,19 +100,18 @@ class Scenario:
     def workload_key(self) -> str:
         """The workload identifier (the default seeding key).
 
-        Deliberately excludes protocol, partition scheme, and backend:
-        every scenario sharing a (family, params) coordinate runs the
-        *same* graph instance, so protocol comparisons and the
-        partition-adversary ablation isolate their own axis, backend pairs
-        are a live parity check, and the workload cache actually hits
-        across a sweep.
+        Deliberately excludes protocol and partition scheme: every
+        scenario sharing a (family, params) coordinate runs the *same*
+        graph instance, so protocol comparisons and the
+        partition-adversary ablation isolate their own axis, and the
+        workload cache actually hits across a sweep.
         """
         params = ",".join(f"{k}={v}" for k, v in self.params)
         return f"{self.family}({params})"
 
     @property
     def coordinate(self) -> str:
-        """The backend-independent identifier."""
+        """The identifier without the backend and transport suffixes."""
         return f"{self.protocol}/{self.workload_key}/{self.partition}"
 
     @property
@@ -167,10 +166,6 @@ class Scenario:
             return float(_COST_HINTS[self.family](p))
         except (KeyError, TypeError):
             return 1.0
-
-    def with_backend(self, backend: str) -> "Scenario":
-        """The same scenario coordinate on another graph backend."""
-        return replace(self, backend=backend)
 
     def with_transport(self, transport: str) -> "Scenario":
         """The same scenario coordinate on another comm transport."""
@@ -240,18 +235,18 @@ def _family_conflict(
 def _family_social(
     stream: Stream, n: int, exponent: float, max_degree: int
 ) -> Graph:
-    """Power-law / social-network instances built straight onto CSR.
+    """Power-law / social-network instances built from an edge stream.
 
     The only family whose builder receives a :class:`Stream` (see the
     ``stream_native`` flag): degree draws and stub pairing come from
-    labelled child streams, and the edge stream feeds
-    :func:`from_edge_stream` without ever materializing an edge set —
-    which is what makes n = 10⁶ buildable in O(n + m) memory.
+    labelled child streams, and the edge stream feeds the :class:`Graph`
+    constructor without ever materializing an edge set — which is what
+    makes n = 10⁶ buildable in O(n + m) memory.
     """
     degrees = power_law_degree_sequence(
         n, exponent, max_degree, stream.derive("degrees")
     )
-    return from_edge_stream(
+    return Graph(
         n, configuration_model_edge_stream(degrees, stream.derive("pairing"))
     )
 
@@ -399,21 +394,19 @@ PROTOCOLS: dict[str, ProtocolAdapter] = {
 
 
 def smoke_scenarios() -> list[Scenario]:
-    """A tiny grid covering every protocol, every graph backend, and the
-    partition extremes — the CI end-to-end check."""
+    """A tiny grid covering every protocol and the partition extremes —
+    the CI end-to-end check."""
     scenarios = []
     for protocol in ("vertex", "edge", "edge_zero_comm"):
         for partition in ("random", "all_alice", "degree_split"):
-            for backend in GRAPH_BACKENDS:
-                scenarios.append(
-                    Scenario(
-                        family="regular",
-                        params=_params(n=64, d=8),
-                        partition=partition,
-                        protocol=protocol,
-                        backend=backend,
-                    )
+            scenarios.append(
+                Scenario(
+                    family="regular",
+                    params=_params(n=64, d=8),
+                    partition=partition,
+                    protocol=protocol,
                 )
+            )
     scenarios.append(
         Scenario(
             family="gnp",
@@ -436,7 +429,6 @@ def smoke_scenarios() -> list[Scenario]:
             params=_params(half=64, d_base=8, d_overlay=4),
             partition="random",
             protocol="edge",
-            backend="csr",
         )
     )
     return scenarios
@@ -524,13 +516,12 @@ def default_scenarios() -> list[Scenario]:
 
 
 def large_scenarios() -> list[Scenario]:
-    """The million-vertex tier: CSR-only scale runs (``sweep --large``).
+    """The million-vertex tier: scale runs (``sweep --large``).
 
-    Power-law social instances at n ∈ {10⁵, 10⁶}, pinned to the csr
-    backend — its flat O(n + m) index arrays hold these sizes in tens of
-    megabytes, where the set backend pays for one Python set object per
-    vertex.  Kept out of :func:`default_scenarios` so ordinary sweeps
-    stay minutes-free.
+    Power-law social instances at n ∈ {10⁵, 10⁶}; the graph's flat
+    O(n + m) index arrays hold these sizes in tens of megabytes.  Kept
+    out of :func:`default_scenarios` so ordinary sweeps stay
+    minutes-free.
     """
     scenarios = [
         Scenario(
@@ -538,7 +529,6 @@ def large_scenarios() -> list[Scenario]:
             params=_params(n=100_000, exponent=2.3, max_degree=64),
             partition="random",
             protocol=protocol,
-            backend="csr",
         )
         for protocol in ("edge", "edge_zero_comm")
     ]
@@ -548,7 +538,6 @@ def large_scenarios() -> list[Scenario]:
             params=_params(n=1_000_000, exponent=2.3, max_degree=64),
             partition="random",
             protocol="edge_zero_comm",
-            backend="csr",
         )
     )
     return scenarios
@@ -557,30 +546,23 @@ def large_scenarios() -> list[Scenario]:
 def iter_scenarios(
     scenarios: Iterable[Scenario],
     pattern: str | None = None,
-    backend: str | None = None,
     transport: str | None = None,
 ) -> Iterator[Scenario]:
-    """Filter scenarios by name substring and/or force a backend/transport.
+    """Filter scenarios by name substring and/or force a transport.
 
-    ``backend="both"`` expands every scenario to one variant per registered
-    backend; any other value pins that backend; ``None`` keeps each
-    scenario's own.  ``transport`` pins the comm transport the same way
-    (``"all"`` expands to every registered transport).  Duplicates (e.g.
-    pinning a backend on a grid that already enumerates both) are dropped,
-    so a sweep never reruns a coordinate.
+    ``transport`` pins the comm transport (``"all"`` expands to every
+    registered transport); ``None`` keeps each scenario's own.
+    Duplicates (e.g. pinning a transport on a grid that already
+    enumerates it) are dropped, so a sweep never reruns a coordinate.
     """
     seen: set[Scenario] = set()
     for scenario in scenarios:
-        if backend == "both":
-            variants = [scenario.with_backend(b) for b in GRAPH_BACKENDS]
-        elif backend is not None:
-            variants = [scenario.with_backend(backend)]
+        if transport == "all":
+            variants = [scenario.with_transport(t) for t in TRANSPORTS]
+        elif transport is not None:
+            variants = [scenario.with_transport(transport)]
         else:
             variants = [scenario]
-        if transport == "all":
-            variants = [v.with_transport(t) for v in variants for t in TRANSPORTS]
-        elif transport is not None:
-            variants = [v.with_transport(transport) for v in variants]
         for candidate in variants:
             if candidate in seen:
                 continue

@@ -9,7 +9,7 @@ Randomized generators accept either a plain :class:`random.Random` or a
 :class:`repro.rand.Stream`.  The random-graph families are built on
 *edge streams* (``*_edge_stream`` functions) that yield edges one at a
 time without materializing the pair universe, so large instances can be
-fed straight into :func:`repro.graphs.csr.from_edge_stream`.  A
+fed straight into the :class:`~repro.graphs.graph.Graph` constructor.  A
 ``random.Random`` source reproduces the historical draw sequence exactly
 (one coin per pair / one shuffle); a ``Stream`` source takes the
 geometric-skip path through :meth:`repro.rand.Stream.sample_indices`, so
@@ -403,14 +403,12 @@ def configuration_model_graph(degrees: list[int], rng: RandomSource) -> Graph:
 
 def disjoint_union(graphs: list[Graph]) -> Graph:
     """The disjoint union, relabelling each component into a fresh block."""
-    total = sum(g.n for g in graphs)
-    union = Graph(total)
+    edges: list[Edge] = []
     offset = 0
     for g in graphs:
-        for u, v in g.edges():
-            union.add_edge(offset + u, offset + v)
+        edges.extend((offset + u, offset + v) for u, v in g.edges())
         offset += g.n
-    return union
+    return Graph(offset, edges)
 
 
 def barbell_of_stars(k: int, leaves: int) -> Graph:

@@ -1,33 +1,46 @@
-"""A minimal simple-graph type tuned for the coloring protocols.
+"""The simple-graph type every protocol programs against.
 
 Vertices are integers ``0..n-1``; edges are unordered pairs stored in
-canonical ``(min, max)`` order.  The class favors the operations the
-protocols need constantly: neighbor sets, degrees, edge iteration, induced
-subgraphs, and cheap copies for the deferral/matching surgery of
-Algorithm 2.
+canonical ``(min, max)`` order.  The adjacency structure lives in two
+flat ``array('q')`` buffers — ``indptr`` (row offsets, length ``n + 1``)
+and ``indices`` (concatenated sorted neighbor lists, length ``2m``) —
+the compressed-sparse-row layout.  Memory is O(n + m) words regardless
+of density, which is what makes the million-vertex tier real: a sparse
+n = 10⁶ instance fits in tens of megabytes.
 
-``Graph`` doubles as the *backend contract*: every method here (including
-the accessor block at the bottom) is part of the API the protocols program
-against, and :class:`repro.graphs.csr.CSRGraph` re-implements the whole
-surface over flat index arrays.  Hot paths must go through the accessors
-— ``iter_neighbors``, ``pack_vertices``, ``neighbors_in``,
-``neighbor_colors``, ``induced_subgraph`` — rather than materializing
-``neighbors()`` sets, so each backend can use its native representation.
-Iteration orders are deterministic (increasing vertex order) so that the
-two backends drive the shared randomness identically and protocol outputs
-match bit-for-bit across backends.
+When numpy is importable (and not disabled via ``REPRO_NO_NUMPY=1``),
+bulk construction vectorizes the sort/dedup/offset pipeline; the
+pure-Python fallback builds the same arrays with a counting sort.  Both
+paths produce byte-identical buffers, and numpy scalars never escape —
+storage is ``array('q')``, so every query returns plain Python ints.
+
+The protocols build every graph in one constructor call and only remove
+edges afterwards (the Theorem 2/3 surgery on copies): ``remove_edge``
+shifts one row in place (O(deg)), leaving slack at the row's end, and
+``add_edge``, which no protocol calls, rebuilds the arrays (O(n + m)).
+Iteration orders are deterministic — neighbors enumerate in increasing
+order and ``edges()`` in sorted canonical order — because partitioners
+draw one public coin per edge while iterating.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import compress
+from operator import sub
+
+from ..rand import kernels as _kernels
 
 __all__ = ["Edge", "Graph", "canonical_edge", "invert_mask"]
 
 Edge = tuple[int, int]
 
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+#: Below this many directed entries the numpy build costs more than it saves.
+_NUMPY_BUILD_MIN = 1024
 
 
 def invert_mask(mask: bytes) -> bytes:
@@ -42,46 +55,163 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _zeros(count: int) -> array:
+    """A zero-filled ``array('q')`` of ``count`` entries."""
+    return array("q", bytes(8 * count))
+
+
+def _from_numpy(values) -> array:
+    """An ``array('q')`` holding a numpy int64 vector's values."""
+    out = array("q")
+    out.frombytes(values.tobytes())
+    return out
+
+
+def _build_arrays(n: int, us: array, vs: array) -> tuple[array, array]:
+    """CSR ``(indptr, indices)`` from parallel endpoint arrays.
+
+    Rows come out sorted ascending and deduplicated; both directions of
+    every pair are inserted, so ``us``/``vs`` carry each undirected edge
+    once (in either order).  The numpy and pure paths are byte-identical.
+    """
+    np = _kernels._np
+    if np is not None and len(us) >= _NUMPY_BUILD_MIN:
+        head = np.frombuffer(us, dtype=np.int64)
+        tail = np.frombuffer(vs, dtype=np.int64)
+        src = np.concatenate([head, tail])
+        dst = np.concatenate([tail, head])
+        order = np.lexsort((dst, src))
+        src = src[order]
+        dst = dst[order]
+        keep = np.ones(src.size, dtype=bool)
+        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        src = src[keep]
+        dst = dst[keep]
+        counts = np.bincount(src, minlength=n)
+        indptr_np = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr_np[1:])
+        return _from_numpy(indptr_np), _from_numpy(dst)
+
+    # Pure path: counting sort into place, then per-row sort + dedup with
+    # an in-place forward compaction (the write cursor never passes a
+    # row's unread start, so no second buffer is needed).
+    counts = _zeros(n)
+    for u in us:
+        counts[u] += 1
+    for v in vs:
+        counts[v] += 1
+    indptr = _zeros(n + 1)
+    total = 0
+    for i in range(n):
+        indptr[i] = total
+        total += counts[i]
+    indptr[n] = total
+    cursor = array("q", indptr[:n])
+    indices = _zeros(total)
+    for u, v in zip(us, vs):
+        indices[cursor[u]] = v
+        cursor[u] += 1
+        indices[cursor[v]] = u
+        cursor[v] += 1
+    write = 0
+    for i in range(n):
+        start, end = indptr[i], indptr[i + 1]
+        row = sorted(set(indices[start:end]))
+        indptr[i] = write
+        for x in row:
+            indices[write] = x
+            write += 1
+    indptr[n] = write
+    del indices[write:]
+    return indptr, indices
+
+
 class Graph:
-    """Undirected simple graph on the vertex set ``range(n)``."""
+    """Undirected simple graph on the vertex set ``range(n)``.
+
+    ``edges`` may repeat an edge or list it in either orientation (the
+    repeats collapse); a self-loop or an out-of-range endpoint raises
+    ``ValueError``.
+    """
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        self.n = n
-        self._adj: list[set[int]] = [set() for _ in range(n)]
-        self._m = 0
+        us = array("q")
+        vs = array("q")
         for u, v in edges:
-            self.add_edge(u, v)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise ValueError(f"self-loops are not allowed: ({u}, {v})")
+            us.append(u)
+            vs.append(v)
+        self._load(n, *_build_arrays(n, us, vs))
+
+    @classmethod
+    def _from_arrays(cls, n: int, indptr: array, indices: array) -> "Graph":
+        """A graph over compact arrays (sorted rows, no slack)."""
+        graph = cls.__new__(cls)
+        graph._load(n, indptr, indices)
+        return graph
+
+    def _load(self, n: int, indptr: array, indices: array) -> None:
+        self.n = n
+        self._indptr = indptr
+        self._indices = indices
+        self._deg = array("q", map(sub, indptr[1:], indptr[:-1]))
+        self._m = len(indices) // 2
+        self._maxdeg: int | None = None
+
+    # -- row layout -------------------------------------------------------
+    #
+    # ``_indices[_indptr[v] : _indptr[v] + _deg[v]]`` is the live sorted
+    # row of ``v``; removals leave slack between ``_deg[v]`` and the next
+    # offset, which every row read skips.
+
+    def _row(self, v: int) -> array:
+        start = self._indptr[v]
+        return self._indices[start : start + self._deg[v]]
+
+    def _row_remove(self, u: int, v: int) -> None:
+        start = self._indptr[u]
+        d = self._deg[u]
+        end = start + d
+        i = bisect_left(self._indices, v, start, end)
+        self._indices[i : end - 1] = self._indices[i + 1 : end]
+        self._deg[u] = d - 1
 
     # -- construction -----------------------------------------------------
 
     def add_edge(self, u: int, v: int) -> bool:
-        """Add edge ``{u, v}``; return False if it was already present."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-        if u == v:
-            raise ValueError(f"self-loops are not allowed: ({u}, {v})")
-        if v in self._adj[u]:
+        """Add edge ``{u, v}``; return False if it was already present.
+
+        Rebuilds the arrays, O(n + m); no protocol grows a graph edge by
+        edge.
+        """
+        if self.has_edge(u, v):
             return False
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._m += 1
+        self.__dict__.update(Graph(self.n, [(u, v), *self.edges()]).__dict__)
         return True
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove edge ``{u, v}``; raise KeyError if absent."""
-        if v not in self._adj[u]:
+        if not self.has_edge(u, v):
             raise KeyError(f"edge ({u}, {v}) not in graph")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
+        self._row_remove(u, v)
+        self._row_remove(v, u)
         self._m -= 1
+        self._maxdeg = None
 
     def copy(self) -> "Graph":
-        """An independent deep copy."""
-        clone = Graph(self.n)
-        clone._adj = [set(neigh) for neigh in self._adj]
+        """An independent deep copy (three flat array copies)."""
+        clone = Graph.__new__(Graph)
+        clone.n = self.n
+        clone._indptr = array("q", self._indptr)
+        clone._indices = array("q", self._indices)
+        clone._deg = array("q", self._deg)
         clone._m = self._m
+        clone._maxdeg = self._maxdeg
         return clone
 
     # -- queries ----------------------------------------------------------
@@ -92,38 +222,45 @@ class Graph:
         return self._m
 
     def has_edge(self, u: int, v: int) -> bool:
-        """True if ``{u, v}`` is an edge."""
-        return 0 <= u < self.n and v in self._adj[u]
+        """True if ``{u, v}`` is an edge (binary search in ``u``'s row)."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
+        start = self._indptr[u]
+        end = start + self._deg[u]
+        i = bisect_left(self._indices, v, start, end)
+        return i < end and self._indices[i] == v
 
     def neighbors(self, v: int) -> set[int]:
-        """The neighbor set of ``v`` (a live view; do not mutate)."""
-        return self._adj[v]
+        """The neighbor set of ``v`` (a fresh set)."""
+        return set(self._row(v))
 
     def degree(self, v: int) -> int:
         """Degree of ``v``."""
-        return len(self._adj[v])
+        return self._deg[v]
 
     def degrees(self) -> list[int]:
         """Degree sequence indexed by vertex."""
-        return [len(neigh) for neigh in self._adj]
+        return list(self._deg)
 
     def max_degree(self) -> int:
-        """Maximum degree Δ (0 for the empty graph)."""
-        if self.n == 0:
-            return 0
-        return max(len(neigh) for neigh in self._adj)
+        """Maximum degree Δ (0 for the empty graph); cached until mutated."""
+        if self._maxdeg is None:
+            self._maxdeg = max(self._deg, default=0)
+        return self._maxdeg
 
     def edges(self) -> Iterator[Edge]:
         """Iterate edges in sorted canonical order.
 
-        The order is part of the backend contract: partitioners draw one
-        public coin per edge while iterating, so every backend must
-        enumerate edges identically for runs to be reproducible.
+        Partitioners draw one public coin per edge while iterating, so
+        this order is what makes a partition reproducible.
         """
+        indptr, indices, deg = self._indptr, self._indices, self._deg
         for u in range(self.n):
-            for v in sorted(self._adj[u]):
-                if u < v:
-                    yield (u, v)
+            start = indptr[u]
+            for i in range(start, start + deg[u]):
+                w = indices[i]
+                if w > u:
+                    yield (u, w)
 
     def edge_list(self) -> list[Edge]:
         """All edges as a sorted list."""
@@ -135,83 +272,109 @@ class Graph:
 
     def subgraph_edges(self, edges: Iterable[Edge]) -> "Graph":
         """A graph on the same vertex set containing only ``edges``."""
-        return Graph(self.n, (canonical_edge(u, v) for u, v in edges))
+        return Graph(self.n, edges)
 
     def split_by_mask(self, mask: bytes) -> tuple["Graph", "Graph"]:
         """The subgraphs of the edges whose mask byte is 1 and 0.
 
-        ``mask`` holds one 0/1 byte per edge, in :meth:`edges` order — the
-        order being part of the backend contract, one mask describes the
-        same split on every backend.
+        ``mask`` holds one 0/1 byte per edge, in :meth:`edges` order.
+        With numpy the upper entries ``(u, w)``, ``w > u``, of the rows
+        are the edges in that order, so the mask selects each side's
+        endpoint arrays in one vectorised pass — byte-identical to the
+        edge-by-edge build.
         """
-        return (
-            self.subgraph_edges(compress(self.edges(), mask)),
-            self.subgraph_edges(compress(self.edges(), invert_mask(mask))),
-        )
+        np = _kernels._np
+        # The vectorised pass reads the rows as one block, so removal slack
+        # (never present on a partition's input graph) takes the edge path.
+        if np is None or len(self._indices) != 2 * self._m:
+            return (
+                self.subgraph_edges(compress(self.edges(), mask)),
+                self.subgraph_edges(compress(self.edges(), invert_mask(mask))),
+            )
+        n = self.n
+        indptr = np.frombuffer(self._indptr, dtype=np.int64)
+        dst = np.frombuffer(self._indices, dtype=np.int64)
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        upper = dst > src
+        us, vs = src[upper], dst[upper]
+        ones = np.frombuffer(mask, dtype=np.uint8).astype(bool)
+
+        def side(keep):
+            arrays = _build_arrays(n, _from_numpy(us[keep]), _from_numpy(vs[keep]))
+            return Graph._from_arrays(n, *arrays)
+
+        return side(ones), side(~ones)
 
     def union(self, other: "Graph") -> "Graph":
         """Edge union of two graphs on the same vertex set."""
         if other.n != self.n:
             raise ValueError(f"vertex-set mismatch: {self.n} != {other.n}")
-        return type(self)(self.n, [*self.edges(), *other.edges()])
+        return Graph(self.n, [*self.edges(), *other.edges()])
 
     def is_independent_set(self, vertices: Iterable[int]) -> bool:
-        """True if no two of ``vertices`` are adjacent."""
+        """True if no two of ``vertices`` are adjacent (row scans)."""
         vset = set(vertices)
-        return all(not (self._adj[v] & vset) for v in vset)
+        return all(not self.has_neighbor_in(v, vset) for v in vset)
 
-    # -- backend-agnostic accessors ---------------------------------------
+    # -- hot-path accessors -----------------------------------------------
     #
-    # The protocols' hot paths call these instead of materializing
-    # ``neighbors()``; CSRGraph overrides them with row scans over its
-    # flat index arrays.
+    # The protocols' inner loops call these row scans instead of
+    # materializing ``neighbors()`` sets.
 
     def iter_neighbors(self, v: int) -> Iterator[int]:
         """Iterate the neighbors of ``v`` in increasing order."""
-        return iter(sorted(self._adj[v]))
+        return iter(self._row(v))
 
-    def pack_vertices(self, vertices: Iterable[int]) -> object:
-        """Pack a vertex collection into this backend's native set type.
+    def neighbors_in(self, v: int, members: frozenset[int] | set[int]) -> list[int]:
+        """Neighbors of ``v`` inside the set ``members``, in increasing order."""
+        return [u for u in self._row(v) if u in members]
 
-        The result is opaque — pass it back to :meth:`neighbors_in`.  The
-        set backend uses a frozenset.
+    def has_neighbor_in(self, v: int, members: frozenset[int] | set[int]) -> bool:
+        """Whether any neighbor of ``v`` lies in the set ``members``.
+
+        A short-circuiting row scan: O(deg) membership probes, never
+        materializing a neighbor list.
         """
-        return frozenset(vertices)
-
-    def neighbors_in(self, v: int, packed: object) -> list[int]:
-        """Neighbors of ``v`` inside a :meth:`pack_vertices` result, sorted."""
-        return sorted(self._adj[v] & packed)  # type: ignore[operator]
-
-    def has_neighbor_in(self, v: int, packed: object) -> bool:
-        """Whether any neighbor of ``v`` lies in a :meth:`pack_vertices` result.
-
-        The existence probe behind the batch confirmation sweeps: no
-        neighbor list is materialized or sorted.
-        """
-        return not self._adj[v].isdisjoint(packed)  # type: ignore[arg-type]
+        indices = self._indices
+        start = self._indptr[v]
+        for i in range(start, start + self._deg[v]):
+            if indices[i] in members:
+                return True
+        return False
 
     def neighbor_colors(self, v: int, coloring: Mapping[int, int]) -> set[int]:
         """The colors that ``coloring`` assigns to neighbors of ``v``."""
-        return {coloring[u] for u in self._adj[v] if u in coloring}
+        return {coloring[u] for u in self._row(v) if u in coloring}
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
-        """Same vertex range, keeping only edges inside ``vertices``."""
+        """Same vertex range, keeping only edges inside ``vertices``.
+
+        One filtered row copy per member vertex — already-sorted rows stay
+        sorted, so no re-sort pass is needed.
+        """
         vset = set(vertices)
-        sub = type(self)(self.n)
-        for u in vset:
-            inside = self._adj[u] & vset
-            if inside:
-                sub._adj[u] = set(inside)
-                sub._m += len(inside)
-        sub._m //= 2
-        return sub
+        indptr, indices, deg = self._indptr, self._indices, self._deg
+        new_indptr = _zeros(self.n + 1)
+        new_indices = array("q")
+        write = 0
+        for v in range(self.n):
+            new_indptr[v] = write
+            if v in vset:
+                start = indptr[v]
+                for i in range(start, start + deg[v]):
+                    u = indices[i]
+                    if u in vset:
+                        new_indices.append(u)
+                        write += 1
+        new_indptr[self.n] = write
+        return Graph._from_arrays(self.n, new_indptr, new_indices)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
         if self.n != other.n or self.m != other.m:
             return False
-        return all(self.neighbors(v) == other.neighbors(v) for v in range(self.n))
+        return all(self._row(v) == other._row(v) for v in range(self.n))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m}, max_degree={self.max_degree()})"

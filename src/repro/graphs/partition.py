@@ -15,7 +15,6 @@ from functools import cached_property
 from itertools import compress
 
 from ..rand import RandomSource, as_random
-from .csr import as_backend
 from .graph import Edge, Graph, invert_mask
 
 __all__ = [
@@ -40,9 +39,8 @@ class EdgePartition:
 
     The split itself is :attr:`owner_mask`: immutable ``bytes``, one
     byte per edge in ``graph.edges()`` order, 1 for Alice and 0 for Bob.
-    Since every backend enumerates edges in that same order, the mask
-    survives :meth:`astype` verbatim.  Everything else — the side graphs and the
-    edge sets — is derived from it on first access and cached.
+    Everything else — the side graphs and the edge sets — is derived from
+    it on first access and cached.
     """
 
     def __init__(self, graph: Graph, alice_edges: Iterable[Edge]) -> None:
@@ -112,16 +110,13 @@ class EdgePartition:
         raise ValueError(f"unknown party {party!r}")
 
     def astype(self, backend: str) -> "EdgePartition":
-        """This partition with its graphs converted to ``backend``.
+        """This partition itself: ``"csr"`` names the one graph representation.
 
-        The owner mask is carried over verbatim, so the converted partition
-        describes the *same* protocol instance — only the adjacency
-        representation changes.  Returns ``self`` when already there.
+        Any other name raises ``ValueError``.
         """
-        converted = as_backend(self.graph, backend)
-        if converted is self.graph:
-            return self
-        return EdgePartition.from_mask(converted, self.owner_mask)
+        if backend != "csr":
+            raise ValueError(f"unknown graph backend {backend!r}; the only one is 'csr'")
+        return self
 
     def owner(self, u: int, v: int) -> str:
         """Which party holds edge ``{u, v}``; ``KeyError`` for a non-edge."""

@@ -81,10 +81,9 @@ def product_game_graph(
     ``instance_inputs[t]`` is the ``(alice_spokes, bob_spokes)`` pair of
     instance ``t``; instance ``t`` occupies vertices ``9t .. 9t+8``.
     """
-    copies = len(instance_inputs)
-    graph = Graph(9 * copies)
-    for t, (alice_spokes, bob_spokes) in enumerate(instance_inputs):
-        local = zec_instance_graph(alice_spokes, bob_spokes)
-        for u, v in local.edges():
-            graph.add_edge(9 * t + u, 9 * t + v)
-    return graph
+    edges = [
+        (9 * t + u, 9 * t + v)
+        for t, (alice_spokes, bob_spokes) in enumerate(instance_inputs)
+        for u, v in zec_instance_graph(alice_spokes, bob_spokes).edges()
+    ]
+    return Graph(9 * len(instance_inputs), edges)

@@ -4,7 +4,7 @@ Theorem 3 sends nothing, so its transcript fingerprint cannot tell one
 coloring from another; Theorem 2's transcript pins only the messages.
 These goldens pin the per-edge colors that Fournier, Vizing and the two
 edge drivers produce: the sha256 of the sorted ``(edge, color)`` list,
-on regular, social and G(n, p) graphs, on every graph backend.  A change
+on regular, social and G(n, p) graphs.  A change
 to :class:`~repro.coloring.EdgeColoringState` or to the order in which
 the colorers probe colors moves them.
 
@@ -24,19 +24,14 @@ from repro.coloring import fournier_edge_coloring, vizing_edge_coloring
 from repro.core import run_edge_coloring, run_zero_comm_edge_coloring
 from repro.core.edge_coloring import peel_heavy_matching
 from repro.graphs import (
-    GRAPH_BACKENDS,
-    as_backend,
+    Graph,
     configuration_model_edge_stream,
-    from_edge_stream,
     gnp_random_graph,
     partition_random,
     power_law_degree_sequence,
     random_regular_graph,
 )
 from repro.rand import Stream
-
-BACKENDS = sorted(GRAPH_BACKENDS)
-
 
 def _regular():
     return random_regular_graph(300, 12, random.Random(11))
@@ -45,7 +40,7 @@ def _regular():
 def _social():
     stream = Stream.from_seed(12)
     degrees = power_law_degree_sequence(600, 2.3, 24, stream.derive("degrees"))
-    return from_edge_stream(
+    return Graph(
         600, configuration_model_edge_stream(degrees, stream.derive("pairing"))
     )
 
@@ -71,7 +66,7 @@ COLORERS = {
     ).colors,
 }
 
-#: One digest per colorer and graph, the same on every backend.
+#: One digest per colorer and graph.
 DIGESTS = {
     "fournier/gnp":
         "6b600d3016005690388ccfd6a42fcce3965992c1400decdf5aa37fa8db40c886",
@@ -105,20 +100,17 @@ def coloring_digest(colors) -> str:
     return hashlib.sha256(repr(sorted(colors.items())).encode()).hexdigest()
 
 
-def _coloring(key: str, backend: str):
+def _coloring(key: str):
     colorer, family = key.split("/")
-    graph = as_backend(GRAPHS[family](), backend)
-    return COLORERS[colorer](graph)
+    return COLORERS[colorer](GRAPHS[family]())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("key", sorted(DIGESTS))
-def test_coloring_digest_is_pinned(key, backend):
-    assert coloring_digest(_coloring(key, backend)) == DIGESTS[key]
+def test_coloring_digest_is_pinned(key):
+    assert coloring_digest(_coloring(key)) == DIGESTS[key]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pinned_fournier_case_runs_the_fan_procedure(backend, monkeypatch):
+def test_pinned_fournier_case_runs_the_fan_procedure(monkeypatch):
     """The Fournier goldens cover the fan path, not only common free colors."""
     calls = []
     fan = fournier_module.color_edge_with_fan
@@ -128,13 +120,13 @@ def test_pinned_fournier_case_runs_the_fan_procedure(backend, monkeypatch):
         fan(state, center, leaf)
 
     monkeypatch.setattr(fournier_module, "color_edge_with_fan", counting)
-    colors = _coloring("fournier/regular", backend)
+    colors = _coloring("fournier/regular")
     assert calls
     assert coloring_digest(colors) == DIGESTS["fournier/regular"]
 
 
 def _regenerate() -> dict[str, str]:  # pragma: no cover - maintenance helper
-    return {key: coloring_digest(_coloring(key, "set")) for key in sorted(DIGESTS)}
+    return {key: coloring_digest(_coloring(key)) for key in sorted(DIGESTS)}
 
 
 if __name__ == "__main__":  # pragma: no cover

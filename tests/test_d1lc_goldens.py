@@ -7,7 +7,7 @@ sparsification fan-out, the gather and the list-coloring solve instead
 path: the transcript's aggregate and with-log fingerprints, and a sha256
 of the sorted coloring, which also catches a change in the order the
 sampled lists are filled (the solver draws from them in iteration order).
-They must hold on both graph backends, with the numpy kernels on and off.
+They must hold with the numpy kernels on and off.
 """
 
 from __future__ import annotations
@@ -35,16 +35,15 @@ def _coloring_digest(colors) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _run(backend: str, transport: str):
-    part = build_partition(Scenario("regular", PARAMS, "random", "vertex", backend))
+def _run(transport: str):
+    part = build_partition(Scenario("regular", PARAMS, "random", "vertex"))
     return run_vertex_coloring(
         part, seed=SEED, max_trial_iterations=0, transport=transport
     )
 
 
-@pytest.mark.parametrize("backend", ["set", "csr"])
 @pytest.mark.parametrize("numpy_on", [True, False], ids=["numpy", "pure"])
-def test_d1lc_transcript_and_coloring_match_golden(monkeypatch, backend, numpy_on):
+def test_d1lc_transcript_and_coloring_match_golden(monkeypatch, numpy_on):
     if numpy_on and not kernels.available():
         pytest.skip("numpy kernels unavailable")
     induced_calls = []
@@ -56,8 +55,8 @@ def test_d1lc_transcript_and_coloring_match_golden(monkeypatch, backend, numpy_o
 
     monkeypatch.setattr(d1lc, "_induced_on", induced_on)
     with nullcontext() if numpy_on else kernels.disabled():
-        strict = _run(backend, "strict")
-        count = _run(backend, "count")
+        strict = _run("strict")
+        count = _run("count")
     assert induced_calls and induced_calls[0] == 64, "D1LC was not reached"
     for result in (strict, count):
         assert result.transcript.fingerprint() == AGGREGATE

@@ -60,13 +60,13 @@ def _src_on_worker_path(monkeypatch):
         monkeypatch.setenv("PYTHONPATH", merged)
 
 
-def _tiny(protocol: str, backend: str = "set", partition: str = "random") -> Scenario:
+def _tiny(protocol: str, partition: str = "random", transport: str = "count") -> Scenario:
     return Scenario(
         family="regular",
         params=(("d", 4), ("n", 24)),
         partition=partition,
         protocol=protocol,
-        backend=backend,
+        transport=transport,
     )
 
 
@@ -121,9 +121,9 @@ def test_pack_shards_isolates_a_dominant_scenario():
         protocol="vertex",
     )
     tiny = [
-        _tiny(protocol, backend=backend, partition=partition)
+        _tiny(protocol, partition=partition, transport=transport)
         for protocol in ("vertex", "edge")
-        for backend in ("set", "csr")
+        for transport in ("count", "strict")
         for partition in ("random", "all_alice")
     ]
     shards = pack_shards([huge, *tiny], 3)
@@ -358,7 +358,7 @@ def _shard_docs(grid, count):
 def test_merge_tree_matches_flat_merge_any_arrival_order():
     grid = [
         _tiny("vertex"),
-        _tiny("vertex", backend="csr"),
+        _tiny("vertex", transport="strict"),
         _tiny("edge"),
         _tiny("edge_zero_comm"),
         _tiny("edge_zero_comm", partition="all_alice"),
@@ -487,11 +487,12 @@ def test_coordinator_rejects_degenerate_configs(tmp_path):
 
 
 def test_coordinator_default_shard_count_overshards(tmp_path):
-    # 12 scenarios (3 partitions x 2 backends x 2 transports)
+    # 18 scenarios (3 protocols x 3 partitions x 2 transports)
     grid = list(
-        iter_scenarios(smoke_scenarios(), pattern="edge_zero_comm", transport="all")
+        iter_scenarios(smoke_scenarios(), pattern="/regular(", transport="all")
     )
-    selection = ["--smoke", "--filter", "edge_zero_comm", "--transport", "all"]
+    assert len(grid) == 18
+    selection = ["--smoke", "--filter", "/regular(", "--transport", "all"]
     coordinator = Coordinator(
         grid, selection, tmp_path / "w", tmp_path / "o",
         LocalExecutor(), DispatchConfig(workers=2),

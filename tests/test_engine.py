@@ -23,18 +23,16 @@ from repro.engine import (
     write_results,
 )
 from repro.core import run_vertex_coloring
-from repro.graphs import GRAPH_BACKENDS, as_backend
 from repro.__main__ import main
 from repro.rand import kernels
 
 
-def _tiny(protocol: str, backend: str = "set", partition: str = "random") -> Scenario:
+def _tiny(protocol: str, partition: str = "random") -> Scenario:
     return Scenario(
         family="regular",
         params=(("d", 4), ("n", 24)),
         partition=partition,
         protocol=protocol,
-        backend=backend,
     )
 
 
@@ -49,15 +47,20 @@ def test_scenario_validation():
         Scenario("regular", (), "random", "vertex", backend="nope")
 
 
+@pytest.mark.parametrize("backend", ["set", "both", "bitset"])
+def test_csr_is_the_only_scenario_backend(backend):
+    assert Scenario("regular", (), "random", "vertex").backend == "csr"
+    with pytest.raises(ValueError, match="the only one is 'csr'"):
+        Scenario("regular", (), "random", "vertex", backend=backend)
+
+
 def test_scenario_name_and_seed_are_stable():
     a = _tiny("vertex")
-    b = _tiny("vertex", backend="csr")
-    assert a.name == "vertex/regular(d=4,n=24)/random/set"
-    assert a.coordinate == b.coordinate
-    # Seeds hash the (family, params) workload key only: every protocol,
-    # partition scheme, and backend sharing the key runs the identical
-    # graph instance.
-    assert a.effective_seed == b.effective_seed
+    assert a.name == "vertex/regular(d=4,n=24)/random/csr"
+    assert a.coordinate == "vertex/regular(d=4,n=24)/random"
+    # Seeds hash the (family, params) workload key only: every protocol
+    # and partition scheme sharing the key runs the identical graph
+    # instance.
     assert _tiny("edge").effective_seed == a.effective_seed
     assert _tiny("vertex", partition="all_alice").effective_seed == a.effective_seed
     other_workload = Scenario("regular", (("d", 4), ("n", 32)), "random", "vertex")
@@ -112,6 +115,7 @@ def test_run_scenario_record_shape():
     ):
         assert key in record, key
     assert record["valid"] is True
+    assert record["backend"] == "csr"
     assert record["n"] == 24
     # Wall-clock time lives in the observability layer, never in the
     # canonical record (it would break byte-identical merge/verify).
@@ -129,19 +133,6 @@ def test_every_protocol_runs_one_tiny_scenario():
             assert record["total_bits"] == 0 and record["rounds"] == 0
 
 
-def test_backend_rows_agree_in_sweep():
-    scenarios = [_tiny("vertex", backend=b) for b in ("set", "csr")]
-    set_row, csr_row = sweep(scenarios, jobs=1)
-    assert set_row["total_bits"] == csr_row["total_bits"]
-    assert set_row["rounds"] == csr_row["rounds"]
-    # Everything but the coordinate label must agree key-for-key, so
-    # sweep.json records differ only in the backend column.
-    strip = lambda r: {
-        k: v for k, v in r.items() if k not in ("scenario", "backend")
-    }
-    assert strip(set_row) == strip(csr_row)
-
-
 def test_sweep_parallel_matches_serial():
     scenarios = [_tiny(p) for p in ("vertex", "edge", "edge_zero_comm")]
     serial = sweep(scenarios, jobs=1)
@@ -151,14 +142,15 @@ def test_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_iter_scenarios_filter_and_backend():
+def test_iter_scenarios_filter_and_transport():
     grid = smoke_scenarios()
     only_edge = list(iter_scenarios(grid, pattern="edge/"))
     assert only_edge and all("edge/" in s.name for s in only_edge)
-    both = list(iter_scenarios([_tiny("vertex")], backend="both"))
-    assert {s.backend for s in both} == {"set", "csr"}
-    pinned = list(iter_scenarios(grid, backend="csr"))
-    assert all(s.backend == "csr" for s in pinned)
+    every = list(iter_scenarios([_tiny("vertex")], transport="all"))
+    assert {s.transport for s in every} == {"count", "strict"}
+    pinned = list(iter_scenarios(grid, transport="strict"))
+    assert len(pinned) == len(grid)
+    assert all(s.transport == "strict" for s in pinned)
 
 
 def test_registry_grids_are_valid():
@@ -178,24 +170,22 @@ CAPPED_FAMILIES = [
 ]
 
 
-@pytest.mark.parametrize("backend", sorted(GRAPH_BACKENDS))
 @pytest.mark.parametrize(
     "family,params,cap",
     CAPPED_FAMILIES,
     ids=[f"{family}-cap{cap}" for family, _, cap in CAPPED_FAMILIES],
 )
-def test_families_never_exceed_their_declared_degree_cap(family, params, cap, backend):
+def test_families_never_exceed_their_declared_degree_cap(family, params, cap):
     coordinate = (family, tuple(params.items()), "random", "vertex")
     for seed in range(20):
         scenario = Scenario(*coordinate, seed=seed)
-        assert as_backend(build_workload(scenario), backend).max_degree() <= cap
+        assert build_workload(scenario).max_degree() <= cap
 
 
-@pytest.mark.parametrize("backend", sorted(GRAPH_BACKENDS))
 @pytest.mark.parametrize("family", ["power_law", "social"])
-def test_degree_cap_not_below_n_is_rejected(family, backend):
+def test_degree_cap_not_below_n_is_rejected(family):
     params = (("exponent", 2.2), ("max_degree", 60), ("n", 50))
-    scenario = Scenario(family, params, "random", "vertex", backend=backend)
+    scenario = Scenario(family, params, "random", "vertex")
     with pytest.raises(ValueError, match=r"max_degree must be in \[1, n\), got 60"):
         build_partition(scenario)
 
@@ -397,28 +387,19 @@ def test_cli_bench_rejects_the_removed_graphs_flags(flag, capsys):
 
 
 @pytest.mark.parametrize("command", ["sweep", "merge", "dispatch", "list-scenarios"])
-def test_cli_rejects_the_removed_bitset_backend(command, capsys):
-    with pytest.raises(SystemExit):
-        main([command, "--backend", "bitset"])
-    assert "invalid choice: 'bitset'" in capsys.readouterr().err
+def test_cli_rejects_the_removed_backend_flag(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--smoke", "--backend", "csr"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("backend", sorted(GRAPH_BACKENDS))
-def test_cli_list_scenarios_pins_each_registered_backend(backend, capsys):
-    assert main(["list-scenarios", "--smoke", "--backend", backend]) == 0
+def test_cli_list_scenarios_names_every_smoke_coordinate_once(capsys):
+    assert main(["list-scenarios", "--smoke"]) == 0
     names = capsys.readouterr().out.split()
     coordinates = {s.coordinate for s in smoke_scenarios()}
-    assert len(names) == len(set(names)) == len(coordinates)
-    assert all(name.endswith(f"/{backend}") for name in names)
-
-
-def test_cli_list_scenarios_both_runs_every_registered_backend(capsys):
-    assert main(["list-scenarios", "--smoke", "--backend", "both"]) == 0
-    names = capsys.readouterr().out.split()
-    expected = {
-        s.with_backend(b).name for s in smoke_scenarios() for b in GRAPH_BACKENDS
-    }
-    assert sorted(names) == sorted(expected)
+    assert len(names) == len(set(names)) == len(coordinates) == 12
+    assert all(name.endswith("/csr") for name in names)
 
 
 def test_cli_bench_rejects_infeasible_workload(capsys):

@@ -31,25 +31,25 @@ from repro.engine import runner as runner_module
 from repro.__main__ import main
 
 
-def _tiny(protocol: str, backend: str = "set", partition: str = "random") -> Scenario:
+def _tiny(protocol: str, partition: str = "random", transport: str = "count") -> Scenario:
     return Scenario(
         family="regular",
         params=(("d", 4), ("n", 24)),
         partition=partition,
         protocol=protocol,
-        backend=backend,
+        transport=transport,
     )
 
 
 def _tiny_grid() -> list[Scenario]:
-    """Six fast coordinates spanning protocols, partitions, and backends."""
+    """Six fast coordinates spanning protocols, partitions, and transports."""
     return [
         _tiny("vertex"),
-        _tiny("vertex", backend="csr"),
+        _tiny("vertex", transport="strict"),
         _tiny("vertex", partition="all_alice"),
         _tiny("edge"),
         _tiny("edge_zero_comm"),
-        _tiny("edge_zero_comm", backend="csr"),
+        _tiny("edge_zero_comm", transport="strict"),
     ]
 
 

@@ -11,9 +11,8 @@ import pytest
 from repro.graphs import (
     PARTITIONERS,
     EdgePartition,
-    as_backend,
+    Graph,
     complete_graph,
-    from_edge_stream,
     gnp_random_graph,
     partition_all_alice,
     partition_all_bob,
@@ -26,18 +25,16 @@ from repro.graphs import (
 )
 from repro.rand import kernels
 
-BACKENDS = ("set", "csr")
-
-#: Partition sources: every backend, plus a CSR graph built with extra edges
+#: Partition sources: the graph as built, and a copy built with extra edges
 #: and then stripped of them, so its rows carry ``remove_edge`` slack when
 #: the partitioner enumerates them.
-SOURCES = (*BACKENDS, "csr-slack")
+SOURCES = ("csr", "csr-slack")
 
 #: sha256 prefixes of ``repr(sorted(alice_edges))`` for every partitioner on
 #: ``random_regular_graph(200, 8, Random(7))`` with ``Random(11)``, as the
-#: eager edge-set construction computed them on every backend.  m = 800,
-#: so the CSR split selects with numpy whenever kernels are on (the sides
-#: are small enough to build on the builder's pure path either way).
+#: eager edge-set construction computed them.  m = 800, so the CSR split
+#: selects with numpy whenever kernels are on (the sides are small enough
+#: to build on the pure path either way).
 EAGER_ALICE_DIGESTS = {
     "random": "90681ea4938626d5",
     "all_alice": "bf72fc7daa2c6fc8",
@@ -65,12 +62,12 @@ def _digest(edges) -> str:
 
 
 def _on(graph, source):
-    """``graph`` on the backend a partition ``source`` names."""
-    if source != "csr-slack":
-        return as_backend(graph, source)
+    """``graph`` in the row layout a partition ``source`` names."""
+    if source == "csr":
+        return graph
     extra = [(u, v) for u in range(graph.n) for v in (u + 1, u + 3) if v < graph.n]
     extra = [e for e in extra if not graph.has_edge(*e)]
-    slack = from_edge_stream(graph.n, [*graph.edges(), *extra])
+    slack = Graph(graph.n, [*graph.edges(), *extra])
     for u, v in extra:
         slack.remove_edge(u, v)
     assert len(slack._indices) == 2 * (slack.m + len(extra))
@@ -79,7 +76,7 @@ def _on(graph, source):
 
 
 def _assert_csr_identical(graph, edges):
-    reference = from_edge_stream(graph.n, sorted(edges))
+    reference = Graph(graph.n, sorted(edges))
     assert graph._indptr.tobytes() == reference._indptr.tobytes()
     assert graph._indices.tobytes() == reference._indices.tobytes()
     assert list(graph._deg) == list(reference._deg)
@@ -188,14 +185,14 @@ class TestPartitioners:
             assert part.alice_edges | part.bob_edges == set(g.edges()), name
 
 
-@pytest.mark.parametrize("backend", SOURCES)
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("name", sorted(PARTITIONERS))
 class TestMaskParity:
     """The owner mask reproduces the eager edge-set construction."""
 
-    def test_edge_sets_match_eager_construction(self, regular, name, backend,
+    def test_edge_sets_match_eager_construction(self, regular, name, source,
                                                 kernel_mode):
-        graph = _on(regular, backend)
+        graph = _on(regular, source)
         part = PARTITIONERS[name](graph, random.Random(11))
         assert _digest(part.alice_edges) == EAGER_ALICE_DIGESTS[name]
         assert part.bob_edges == frozenset(regular.edges()) - part.alice_edges
@@ -203,71 +200,66 @@ class TestMaskParity:
         assert set(part.alice_graph.edges()) == part.alice_edges
         assert set(part.bob_graph.edges()) == part.bob_edges
 
-    def test_csr_sides_match_edge_stream(self, regular, name, backend, kernel_mode):
-        part = PARTITIONERS[name](_on(regular, backend), random.Random(11))
-        csr = part.astype("csr")
-        _assert_csr_identical(csr.alice_graph, part.alice_edges)
-        _assert_csr_identical(csr.bob_graph, part.bob_edges)
-
-    def test_astype_chain_keeps_split(self, regular, name, backend, kernel_mode):
-        part = PARTITIONERS[name](_on(regular, backend), random.Random(11))
-        chain = [part]
-        for target in ("set", "csr", "set", "csr"):
-            chain.append(chain[-1].astype(target))
-        for converted in chain[1:]:
-            assert converted.owner_mask == part.owner_mask
-            assert converted.alice_edges == part.alice_edges
-            assert converted.bob_edges == part.bob_edges
-            assert set(converted.alice_graph.edges()) == part.alice_edges
-            assert set(converted.bob_graph.edges()) == part.bob_edges
+    def test_csr_sides_match_edge_stream(self, regular, name, source, kernel_mode):
+        part = PARTITIONERS[name](_on(regular, source), random.Random(11))
+        _assert_csr_identical(part.alice_graph, part.alice_edges)
+        _assert_csr_identical(part.bob_graph, part.bob_edges)
 
 
-@pytest.mark.parametrize("backend", SOURCES)
+@pytest.mark.parametrize("source", SOURCES)
 class TestConstructor:
-    def test_dedups_reversed_and_duplicate_tuples(self, backend):
-        g = _on(complete_graph(4), backend)
+    def test_dedups_reversed_and_duplicate_tuples(self, source):
+        g = _on(complete_graph(4), source)
         part = EdgePartition(g, [(1, 0), (0, 1), (0, 1), (3, 2)])
         assert part.alice_edges == {(0, 1), (2, 3)}
         assert part.bob_edges == {(0, 2), (0, 3), (1, 2), (1, 3)}
         assert part.owner(1, 0) == "alice" and part.owner(3, 1) == "bob"
 
     @pytest.mark.parametrize("foreign", [(0, 3), (3, 0), (2, 2)])
-    def test_rejects_foreign_edges(self, backend, foreign):
-        g = _on(path_graph(4), backend)
+    def test_rejects_foreign_edges(self, source, foreign):
+        g = _on(path_graph(4), source)
         with pytest.raises(ValueError, match="not in graph"):
             EdgePartition(g, [(0, 1), foreign])
 
-    def test_from_mask_rejects_malformed_masks(self, backend):
-        g = _on(complete_graph(4), backend)
+    def test_from_mask_rejects_malformed_masks(self, source):
+        g = _on(complete_graph(4), source)
         with pytest.raises(ValueError):
             EdgePartition.from_mask(g, bytearray(5))
         with pytest.raises(ValueError):
             EdgePartition.from_mask(g, bytearray([0, 1, 2, 0, 1, 0]))
 
-    def test_mask_is_immutable_and_owned(self, backend):
-        g = _on(complete_graph(4), backend)
+    def test_mask_is_immutable_and_owned(self, source):
+        g = _on(complete_graph(4), source)
         mask = bytearray([1, 0, 1, 0, 1, 0])
         part = EdgePartition.from_mask(g, mask)
         mask[0] = 0
         assert isinstance(part.owner_mask, bytes)
         assert part.owner(0, 1) == "alice"
-        converted = part.astype("set" if backend.startswith("csr") else "csr")
-        assert isinstance(converted.owner_mask, bytes)
-        assert converted.owner_mask == part.owner_mask
+
+    def test_astype_csr_is_the_partition_itself(self, source):
+        part = partition_alternating(_on(complete_graph(4), source))
+        assert part.astype("csr") is part
+
+    @pytest.mark.parametrize("name", ["set", "bitset", "both"])
+    def test_astype_rejects_every_other_backend(self, source, name):
+        part = partition_alternating(_on(complete_graph(4), source))
+        with pytest.raises(ValueError, match="the only one is 'csr'"):
+            part.astype(name)
 
 
 class TestLazySides:
-    def test_conversion_builds_no_side_graph(self, regular):
+    def test_sides_are_built_on_first_use(self, regular):
         part = partition_random(regular, random.Random(3))
-        csr = part.astype("csr")
-        assert "_sides" not in part.__dict__ and "_sides" not in csr.__dict__
-        assert csr.side_graph("alice") is csr.alice_graph
-        assert csr.side_graph("bob") is csr.bob_graph
+        assert part.astype("csr") is part
+        assert "_sides" not in part.__dict__
+        assert part.side_graph("alice") is part.alice_graph
+        assert part.side_graph("bob") is part.bob_graph
+        assert "_sides" in part.__dict__
 
     @pytest.mark.usefixtures("kernel_mode")
     def test_csr_split_large_sides_match_edge_stream(self):
         # m = 2400: both sides pass the builder's numpy threshold.
-        graph = as_backend(random_regular_graph(600, 8, random.Random(2)), "csr")
+        graph = random_regular_graph(600, 8, random.Random(2))
         for factory in (partition_random, partition_all_alice):
             part = factory(graph, random.Random(4))
             _assert_csr_identical(part.alice_graph, part.alice_edges)
@@ -275,7 +267,7 @@ class TestLazySides:
 
     @pytest.mark.usefixtures("kernel_mode")
     def test_csr_split_after_mutations(self, regular):
-        graph = as_backend(regular, "csr").copy()
+        graph = regular.copy()
         for u in range(0, 40, 2):
             if not graph.has_edge(u, u + 101):
                 graph.add_edge(u, u + 101)

@@ -5,7 +5,7 @@ the measurement instrument: same colorings, same transcript totals, same
 per-phase stats, same round counts, on the same instances, under the same
 seeds.  These tests run every registered scenario (smoke params) and the
 full protocol/baseline stack on the count and strict transports and
-compare everything — mirroring the backend parity suite.
+compare everything.
 """
 
 from __future__ import annotations
