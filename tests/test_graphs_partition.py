@@ -205,6 +205,21 @@ class TestMaskParity:
         _assert_csr_identical(part.alice_graph, part.alice_edges)
         _assert_csr_identical(part.bob_graph, part.bob_edges)
 
+    def test_split_round_trips_through_both_constructors(self, regular, name, source,
+                                                         kernel_mode):
+        """The owner mask and Alice's edge list each rebuild the same split."""
+        graph = _on(regular, source)
+        part = PARTITIONERS[name](graph, random.Random(11))
+        for rebuilt in (
+            EdgePartition.from_mask(graph, part.owner_mask),
+            EdgePartition(graph, sorted(part.alice_edges)),
+        ):
+            assert rebuilt.owner_mask == part.owner_mask
+            assert rebuilt.alice_edges == part.alice_edges
+            assert rebuilt.bob_edges == part.bob_edges
+            assert rebuilt.alice_graph == part.alice_graph
+            assert rebuilt.bob_graph == part.bob_graph
+
 
 @pytest.mark.parametrize("source", SOURCES)
 class TestConstructor:
