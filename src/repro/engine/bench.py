@@ -20,7 +20,7 @@ import time
 from typing import Any, Callable
 
 from ..core.vertex_coloring import run_vertex_coloring
-from ..graphs import EdgePartition
+from ..graphs import EdgePartition, power_law_degree_sequence
 from ..rand import Stream, derive_keys
 from ..rand.perm import permutation_tables
 from .runner import build_partition
@@ -90,6 +90,18 @@ def kernel_comparison(seed: int = 42, repeat: int = 5) -> list[dict[str, Any]]:
         (
             "kernel: feistel materialize m=4097",
             lambda: Stream.from_seed(seed, "bench-perm").permutation(4097).materialize(),
+        ),
+        (
+            # The social family's two draws: the stub shuffle's swap
+            # indices and the power-law degrees.
+            "kernel: shuffled k=4096",
+            lambda: Stream.from_seed(seed, "bench-shuffle").shuffled(range(4096)),
+        ),
+        (
+            "kernel: power-law degrees n=4096",
+            lambda: power_law_degree_sequence(
+                4096, 2.3, 64, Stream.from_seed(seed, "bench-degrees")
+            ),
         ),
         (
             # One Color-Sample fan-out's palette tables, from the parent

@@ -30,7 +30,6 @@ from ..graphs import (
     c4_gadget_union,
     caterpillar_graph,
     complete_graph,
-    configuration_model_edge_stream,
     configuration_model_graph,
     conflict_union_graph,
     gnp_random_graph,
@@ -235,20 +234,18 @@ def _family_conflict(
 def _family_social(
     stream: Stream, n: int, exponent: float, max_degree: int
 ) -> Graph:
-    """Power-law / social-network instances built from an edge stream.
+    """Power-law / social-network instances in O(n + m) memory.
 
     The only family whose builder receives a :class:`Stream` (see the
     ``stream_native`` flag): degree draws and stub pairing come from
-    labelled child streams, and the edge stream feeds the :class:`Graph`
-    constructor without ever materializing an edge set — which is what
-    makes n = 10⁶ buildable in O(n + m) memory.
+    labelled child streams, both drawn in bulk, and the pairing's
+    endpoint arrays go straight to the CSR build without ever
+    materializing an edge set — which is what makes n = 10⁶ buildable.
     """
     degrees = power_law_degree_sequence(
         n, exponent, max_degree, stream.derive("degrees")
     )
-    return Graph(
-        n, configuration_model_edge_stream(degrees, stream.derive("pairing"))
-    )
+    return configuration_model_graph(degrees, stream.derive("pairing"))
 
 
 #: Builders flagged ``stream_native`` receive the workload Stream itself

@@ -6,26 +6,37 @@ constructions: unions of `C4` bit gadgets (Section 2.3 / FM25) and the
 star-pair instances underlying the ZEC game (Section 6.2).
 
 Randomized generators accept either a plain :class:`random.Random` or a
-:class:`repro.rand.Stream`.  The random-graph families are built on
-*edge streams* (``*_edge_stream`` functions) that yield edges one at a
-time without materializing the pair universe, so large instances can be
-fed straight into the :class:`~repro.graphs.graph.Graph` constructor.  A
-``random.Random`` source reproduces the historical draw sequence exactly
-(one coin per pair / one shuffle); a ``Stream`` source takes the
-geometric-skip path through :meth:`repro.rand.Stream.sample_indices`, so
-sparse instances cost O(p·m) draws instead of O(n²).
+:class:`repro.rand.Stream`.  The G(n, p) families are built on *edge
+streams* (``*_edge_stream`` functions) that yield edges one at a time
+without materializing the pair universe, fed straight into the
+:class:`~repro.graphs.graph.Graph` constructor.  A ``random.Random``
+source reproduces the historical draw sequence exactly (one coin per
+pair / one shuffle); a ``Stream`` source takes the geometric-skip path
+through :meth:`repro.rand.Stream.sample_indices`, so sparse instances
+cost O(p·m) draws instead of O(n²).
+
+The two hot workload families skip the per-edge tuples when numpy is
+available.  The social graph (:func:`configuration_model_graph` over
+:func:`power_law_degree_sequence`) draws its degrees and its stub
+shuffle in bulk from the ``Stream`` kernels, pairs the shuffled stub
+array, drops self-pairs with a mask and hands the endpoint arrays to the
+CSR build; :func:`random_regular_graph` classifies its first pairing
+round with arrays and builds the CSR from its edge keys.  Both build the
+same bytes, and consume the same words, as their scalar loops, which
+stay as the reference and the ``REPRO_NO_NUMPY=1`` path.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from array import array
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
-from math import isqrt
+from math import isfinite, isqrt
 
 from ..rand import RandomSource, Stream, as_random
-from .graph import Edge, Graph, canonical_edge
+from ..rand import kernels as _kernels
+from .graph import Edge, Graph
 
 __all__ = [
     "barbell_of_stars",
@@ -198,14 +209,70 @@ def gnp_with_max_degree(n: int, p: float, max_degree: int, rng: RandomSource) ->
     return Graph(n, gnp_with_max_degree_edge_stream(n, p, max_degree, rng))
 
 
+#: Stub count from which the first pairing round of
+#: :func:`random_regular_graph` is classified with numpy.
+_BULK_PAIRING_MIN = 1024
+
+
+def _pair_round(
+    stubs: list[int], n: int, edges: set[int], added: list[int]
+) -> dict[int, int]:
+    """One pairing round over shuffled stubs, on edge keys ``min·n + max``.
+
+    Consecutive stubs pair up.  A new non-loop pair joins ``edges`` and
+    ``added``; a rejected pair re-queues both stubs in ``pending``
+    (vertex → count, in first-rejection order).
+    """
+    pending: dict[int, int] = {}
+    paired = iter(stubs)
+    for u, v in zip(paired, paired):
+        key = u * n + v if u < v else v * n + u
+        if u != v and key not in edges:
+            edges.add(key)
+            added.append(key)
+        else:
+            pending[u] = pending.get(u, 0) + 1
+            pending[v] = pending.get(v, 0) + 1
+    return pending
+
+
+def _bulk_pair_round(np, stubs: list[int], n: int):
+    """:func:`_pair_round` for the first round, classified with arrays.
+
+    A pair is rejected if it is a loop or repeats the key of an earlier
+    non-loop pair (``np.unique`` reports each key's first occurrence).
+    Returns the accepted keys in pairing order and ``pending``, rebuilt
+    from the rejected pairs in the scalar order.
+    """
+    pairs = np.array(stubs, dtype=np.int64).reshape(-1, 2)
+    us, vs = pairs[:, 0], pairs[:, 1]
+    keys = np.minimum(us, vs) * n + np.maximum(us, vs)
+    candidates = np.flatnonzero(us != vs)
+    _, first = np.unique(keys[candidates], return_index=True)
+    accepted = np.zeros(len(keys), dtype=bool)
+    accepted[candidates[first]] = True
+    pending: dict[int, int] = {}
+    for u, v in pairs[~accepted].tolist():
+        pending[u] = pending.get(u, 0) + 1
+        pending[v] = pending.get(v, 0) + 1
+    return keys[accepted], pending
+
+
 def random_regular_graph(n: int, d: int, rng: RandomSource, max_tries: int = 200) -> Graph:
     """A uniform-ish random ``d``-regular simple graph.
 
     Pairing model with stub re-queuing (the standard practical variant):
     stubs that would create loops or multi-edges are reshuffled instead of
     restarting the whole pairing, with a suitability check to detect dead
-    ends.  Effective even for dense degrees.
+    ends.  Effective even for dense degrees.  The stubs are shuffled by
+    the ``random.Random`` of :func:`~repro.rand.as_random`; with numpy, the
+    first (largest) round is classified with arrays and the CSR is built
+    from the accepted edge keys.
     """
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    if d < 0:
+        raise ValueError(f"degree must be non-negative, got {d}")
     if n * d % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     if d >= n:
@@ -213,38 +280,47 @@ def random_regular_graph(n: int, d: int, rng: RandomSource, max_tries: int = 200
     if d == 0:
         return Graph(n)
     rng = as_random(rng)
+    np = _kernels._np
+    bulk = np is not None and n * d >= _BULK_PAIRING_MIN
 
-    def suitable(edges: set[Edge], pending: dict[int, int]) -> bool:
-        """Can every pending stub still be matched without a collision?"""
-        nodes = [v for v, count in pending.items() if count]
+    def suitable(edges: set[int], pending: dict[int, int]) -> bool:
+        """Can some two pending vertices still be joined by a new edge?"""
+        nodes = list(pending)
         for i, u in enumerate(nodes):
             for v in nodes[i + 1 :]:
-                if canonical_edge(u, v) not in edges:
+                if (u * n + v if u < v else v * n + u) not in edges:
                     return True
-        return not nodes
+        return False
 
-    def attempt() -> set[Edge] | None:
-        edges: set[Edge] = set()
-        stubs = [v for v in range(n) for _ in range(d)]
-        while stubs:
-            pending: dict[int, int] = {}
-            rng.shuffle(stubs)
-            paired = iter(stubs)
-            for u, v in zip(paired, paired):
-                if u != v and canonical_edge(u, v) not in edges:
-                    edges.add(canonical_edge(u, v))
-                else:
-                    pending[u] = pending.get(u, 0) + 1
-                    pending[v] = pending.get(v, 0) + 1
+    def attempt():
+        if bulk:
+            stubs = np.repeat(np.arange(n, dtype=np.int64), d).tolist()
+        else:
+            stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        added: list[int] = []
+        if bulk:
+            first, pending = _bulk_pair_round(np, stubs, n)
+            edges = set(first.tolist())
+        else:
+            first, edges = None, set()
+            pending = _pair_round(stubs, n, edges, added)
+        while pending:
             if not suitable(edges, pending):
                 return None
             stubs = [v for v, count in pending.items() for _ in range(count)]
-        return edges
+            rng.shuffle(stubs)
+            pending = _pair_round(stubs, n, edges, added)
+        if first is None:
+            us = array("q", [k // n for k in added])
+            return us, array("q", [k % n for k in added])
+        keys = np.concatenate([first, np.array(added, dtype=np.int64)])
+        return keys // n, keys % n
 
     for _ in range(max_tries):
-        edges = attempt()
-        if edges is not None:
-            return Graph(n, edges)
+        endpoints = attempt()
+        if endpoints is not None:
+            return Graph._from_endpoints(n, *endpoints)
     raise RuntimeError(f"failed to sample a simple {d}-regular graph on {n} vertices")
 
 
@@ -334,21 +410,15 @@ def power_law_degree_sequence(
     Heavy-tailed degrees are the regime where Theorem 1's Case 1/Case 2
     analysis (low vs high initial degree, Section 2.1) genuinely diverges.
     """
-    if exponent <= 0:
-        raise ValueError(f"exponent must be positive, got {exponent}")
+    if not (isfinite(exponent) and exponent > 0):
+        raise ValueError(f"exponent must be finite and positive, got {exponent}")
     if max_degree < 1 or max_degree >= n:
         raise ValueError(f"max_degree must be in [1, n), got {max_degree}")
     weights = [d ** (-exponent) for d in range(1, max_degree + 1)]
     if isinstance(rng, Stream):
         # Inverse-CDF draws on the stream directly (same scheme as
         # random.choices: bisect over cumulative weights, index clamped).
-        cum = list(accumulate(weights))
-        total = cum[-1]
-        hi = max_degree - 1
-        degrees = [
-            1 + min(bisect_right(cum, rng.random() * total), hi)
-            for _ in range(n)
-        ]
+        degrees = [1 + i for i in rng.weighted_indices(n, list(accumulate(weights)))]
     else:
         rng = as_random(rng)
         degrees = [
@@ -358,6 +428,12 @@ def power_law_degree_sequence(
     if sum(degrees) % 2:
         degrees[degrees.index(min(degrees))] += 1
     return degrees
+
+
+def _check_degrees(degrees: Sequence[int]) -> None:
+    n = len(degrees)
+    if n and (min(degrees) < 0 or max(degrees) >= n):
+        raise ValueError("degrees must lie in [0, n)")
 
 
 def configuration_model_edge_stream(
@@ -371,34 +447,50 @@ def configuration_model_edge_stream(
     rejection).  A ``Stream`` shuffles natively; a ``random.Random``
     reproduces the historical tape.
     """
-    n = len(degrees)
-    if any(d < 0 or d >= n for d in degrees):
-        raise ValueError("degrees must lie in [0, n)")
+    _check_degrees(degrees)
     return _configuration_pairing(degrees, rng)
+
+
+def _shuffle_stubs(stubs, rng: RandomSource) -> None:
+    """Shuffle in place: natively on a ``Stream``, else the historical tape."""
+    (rng if isinstance(rng, Stream) else as_random(rng)).shuffle(stubs)
 
 
 def _configuration_pairing(
     degrees: Sequence[int], rng: RandomSource
 ) -> Iterator[Edge]:
     stubs = [v for v, d in enumerate(degrees) for _ in range(d)]
-    if isinstance(rng, Stream):
-        stubs = rng.shuffled(stubs)
-    else:
-        as_random(rng).shuffle(stubs)
+    _shuffle_stubs(stubs, rng)
     paired = iter(stubs)
     for u, v in zip(paired, paired):
         if u != v:
             yield (u, v)
 
 
-def configuration_model_graph(degrees: list[int], rng: RandomSource) -> Graph:
+def configuration_model_graph(degrees: Sequence[int], rng: RandomSource) -> Graph:
     """A simple graph approximating a target degree sequence.
 
     Pairing-model with rejection of loops/multi-edges (rejected stubs are
     dropped, so realized degrees are ≤ targets — adequate for workload
     generation; exact realization is not needed by any experiment).
+    With numpy the pairing is array work: the stubs come from
+    ``np.repeat`` into an ``array('q')`` that is shuffled in place,
+    self-pairs drop out through a mask and the endpoint arrays go
+    straight to the CSR build.  The graph is the one
+    :func:`configuration_model_edge_stream` builds.
     """
-    return Graph(len(degrees), configuration_model_edge_stream(degrees, rng))
+    n = len(degrees)
+    np = _kernels._np
+    if np is None:
+        return Graph(n, configuration_model_edge_stream(degrees, rng))
+    _check_degrees(degrees)
+    counts = np.asarray(degrees, dtype=np.int64)
+    stubs = array("q")
+    stubs.frombytes(np.repeat(np.arange(n, dtype=np.int64), counts).tobytes())
+    _shuffle_stubs(stubs, rng)
+    pairs = np.frombuffer(stubs, dtype=np.int64)[: len(stubs) // 2 * 2].reshape(-1, 2)
+    keep = pairs[:, 0] != pairs[:, 1]
+    return Graph._from_endpoints(n, pairs[keep, 0], pairs[keep, 1])
 
 
 def disjoint_union(graphs: list[Graph]) -> Graph:

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import random
 import zlib
-from collections.abc import Sequence
+from bisect import bisect_right
+from collections.abc import MutableSequence, Sequence
 from typing import TypeVar, Union
 
 from . import kernels as _kernels
@@ -363,13 +364,59 @@ class Stream:
         """
         return make_permutation(self.next64(), m)
 
+    def shuffle(self, x: MutableSequence) -> None:
+        """Shuffle the mutable sequence ``x`` in place, uniformly.
+
+        Fisher–Yates from the back, one word per swap, like
+        ``random.Random.shuffle``.  At :data:`~repro.rand.kernels.MIN_BATCH`
+        items or more with numpy, the swap indices come from the kernel
+        :data:`~repro.rand.kernels.SHUFFLE_CHUNK` steps at a time and only
+        the swaps stay a loop; the result and the words consumed are the
+        same.
+        """
+        size = len(x)
+        if _kernels._np is not None and _kernels.MIN_BATCH <= size < (1 << 32):
+            top = size - 1
+            while top:
+                count = min(top, _kernels.SHUFFLE_CHUNK)
+                js = _kernels.shuffle_indices(self.key, self.counter, top, count)
+                self.counter += count
+                for i, j in zip(range(top, top - count, -1), js):
+                    x[i], x[j] = x[j], x[i]
+                top -= count
+            return
+        for i in range(size - 1, 0, -1):
+            j = self._below(i + 1)
+            x[i], x[j] = x[j], x[i]
+
     def shuffled(self, items: Sequence[T]) -> list[T]:
         """A uniform shuffle of ``items`` (original left untouched)."""
         out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self._below(i + 1)
-            out[i], out[j] = out[j], out[i]
+        self.shuffle(out)
         return out
+
+    def weighted_indices(self, k: int, cum_weights: Sequence[float]) -> list[int]:
+        """``k`` indices drawn with probability proportional to weight.
+
+        ``cum_weights`` are the running sums of finite non-negative
+        weights.  Each draw is one word: the index
+        ``min(bisect_right(cum, random() · cum[-1]), len(cum) - 1)``, the
+        inverse-CDF scheme of ``random.choices``.  Batches of at least
+        :data:`~repro.rand.kernels.MIN_BATCH` draws dispatch to the numpy
+        kernel, with the same values and words consumed.
+        """
+        if k <= 0:
+            return []
+        if _kernels._np is not None and k >= _kernels.MIN_BATCH:
+            out = _kernels.inverse_cdf(self.key, self.counter, k, cum_weights)
+            self.counter += k
+            return out
+        total = cum_weights[-1]
+        hi = len(cum_weights) - 1
+        return [
+            min(bisect_right(cum_weights, self.random() * total), hi)
+            for _ in range(k)
+        ]
 
     def sample_indices(self, m: int, p: float) -> Sequence[int]:
         """Sorted indices of a Bernoulli(``p``) subset of ``range(m)``.

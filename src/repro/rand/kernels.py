@@ -21,9 +21,13 @@ Bit-for-bit subtleties the implementations guard:
 * The Lemire ``ints`` map needs the high 64 bits of a 64×64 product;
   numpy has no 128-bit integers, so :func:`_mulhi` decomposes into 32-bit
   halves (every intermediate provably fits uint64).
-* The small-table Fisher–Yates index ``(x·(i+1)) >> 64`` has a multiplier
-  below ``2^32``, so two 32-bit partial products give it exactly
-  (:func:`small_permutation_tables`).
+* The Fisher–Yates index ``(x·(i+1)) >> 64`` of the small tables and of
+  ``Stream.shuffle`` has a multiplier below ``2^32``, so two 32-bit
+  partial products give it exactly (:func:`_mulhi_small`).
+* The inverse-CDF draws compare ``(word >> 11) / 2^53 · total`` against
+  the caller's cumulative weights: every step is one exactly rounded
+  IEEE operation in both numpy and Python, and ``np.searchsorted`` with
+  ``side="right"`` is ``bisect_right`` on the same floats.
 * Word→bit unpacking goes through ``astype("<u8")`` so the byte order
   matches ``int.to_bytes(8, "little")`` on any host endianness.
 * ``np.log`` (SIMD) may differ from ``math.log`` (libm) by a few ulps.
@@ -43,6 +47,7 @@ __all__ = [
     "MIN_BATCH",
     "PERM_CHUNK",
     "PERM_MIN_BATCH",
+    "SHUFFLE_CHUNK",
     "available",
     "disabled",
 ]
@@ -70,6 +75,10 @@ FEISTEL_MIN_BATCH = 256
 #: breaks even at 3-4 tables and is 2-3x cheaper at 8 (~0.7 / ~1.6 µs per
 #: table at 1024).
 PERM_MIN_BATCH = 8
+
+#: Fisher–Yates steps per :func:`shuffle_indices` call in
+#: ``Stream.shuffle``: bounds the index list a large shuffle holds.
+SHUFFLE_CHUNK = 65536
 
 #: Tables built per kernel pass.  Bounds the K×(m-1) word and index
 #: matrices (~3 MB at m=96) however many tables the caller asks for.
@@ -162,6 +171,17 @@ def _mulhi(np, x, mult: int):
         mid1 = x1 * y0 + (lo_lo >> c32)
         mid2 = x0 * y1 + (mid1 & m32)
         return x1 * y1 + (mid1 >> c32) + (mid2 >> c32)
+
+
+def _mulhi_small(np, x, bound):
+    """``(x * bound) >> 64`` per element for multipliers ``bound < 2^32``.
+
+    With ``b < 2^32``, ``hi·b + ((lo·b) >> 32)`` stays below ``2^64``, and
+    shifting it right by 32 gives exactly ``(x·b) >> 64``.
+    """
+    c32 = np.uint64(32)
+    low = (x & np.uint64(0xFFFFFFFF)) * bound
+    return ((x >> c32) * bound + (low >> c32)) >> c32
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +280,37 @@ def geometric(key: int, counter: int, m: int, p: float) -> tuple[list[int], int]
         consumed += batch
 
 
+def shuffle_indices(key: int, counter: int, top: int, count: int) -> list[int]:
+    """Swap indices of ``count`` Fisher–Yates steps of ``Stream.shuffle``.
+
+    Entry ``t`` is step ``i = top - t``'s index ``j = (word·(i+1)) >> 64``
+    in ``[0, i]``, its word drawn at counter ``counter + 1 + t``: the
+    ``_below(i + 1)`` calls of the pure loop, in its order.  The caller
+    guarantees ``1 <= count <= top < 2^32 - 1`` and consumes ``count``
+    words.
+    """
+    np = _np
+    w = _words(np, key, counter, count)
+    bounds = np.arange(top + 1, top + 1 - count, -1, dtype=np.uint64)
+    return _mulhi_small(np, w, bounds).tolist()
+
+
+def inverse_cdf(key: int, counter: int, k: int, cum_weights) -> list[int]:
+    """``k`` weighted indices — mirrors ``Stream.weighted_indices``.
+
+    Draw ``t`` is ``min(bisect_right(cum, u·cum[-1]), len(cum) - 1)``
+    for the unit float ``u = (word >> 11) / 2^53`` at counter ``counter +
+    1 + t``.  The caller guarantees finite weights and consumes ``k``
+    words.
+    """
+    np = _np
+    cum = np.asarray(cum_weights, dtype=np.float64)
+    w = _words(np, key, counter, k)
+    x = (w >> np.uint64(11)).astype(np.float64) / _TWO53 * cum_weights[-1]
+    out = np.searchsorted(cum, x, side="right")
+    return np.minimum(out, len(cum) - 1).tolist()
+
+
 def dense_mask(m: int, indices) -> list[bool]:
     """Dense boolean mask over ``range(m)`` from sorted included indices."""
     np = _np
@@ -350,12 +401,7 @@ def _small_tables_chunk(np, keys, m: int) -> bytes:
             + (steps * np.uint64(_GOLDEN))[:, None]
         )
     _mix_inplace(np, words)
-    bound = (steps + np.uint64(1))[:, None]
-    c32 = np.uint64(32)
-    # b = i+1 < 2^32: hi·b + ((lo·b) >> 32) stays below 2^64, and shifting
-    # it right by 32 gives exactly (word·b) >> 64.
-    low = (words & np.uint64(0xFFFFFFFF)) * bound
-    js = ((words >> c32) * bound + (low >> c32)) >> c32
+    js = _mulhi_small(np, words, (steps + np.uint64(1))[:, None])
     # Flat offsets into the transposed m×k table, so the table row for
     # position i is contiguous and step i swaps it with a gathered row.
     offsets = js.astype(np.intp) * k + np.arange(k, dtype=np.intp)[None, :]
