@@ -15,15 +15,15 @@ pair / one shuffle); a ``Stream`` source takes the geometric-skip path
 through :meth:`repro.rand.Stream.sample_indices`, so sparse instances
 cost O(p·m) draws instead of O(n²).
 
-The two hot workload families skip the per-edge tuples when numpy is
-available.  The social graph (:func:`configuration_model_graph` over
+The two hot workload families skip the per-edge tuples.  With numpy,
+the social graph (:func:`configuration_model_graph` over
 :func:`power_law_degree_sequence`) draws its degrees and its stub
 shuffle in bulk from the ``Stream`` kernels, pairs the shuffled stub
 array, drops self-pairs with a mask and hands the endpoint arrays to the
-CSR build; :func:`random_regular_graph` classifies its first pairing
-round with arrays and builds the CSR from its edge keys.  Both build the
-same bytes, and consume the same words, as their scalar loops, which
-stay as the reference and the ``REPRO_NO_NUMPY=1`` path.
+CSR build; it builds the same bytes, and consumes the same words, as its
+scalar loop, which stays as the reference and the ``REPRO_NO_NUMPY=1``
+path.  :func:`random_regular_graph` pairs its stubs over int edge keys
+and builds the CSR from the accepted keys, with or without numpy.
 """
 
 from __future__ import annotations
@@ -209,11 +209,6 @@ def gnp_with_max_degree(n: int, p: float, max_degree: int, rng: RandomSource) ->
     return Graph(n, gnp_with_max_degree_edge_stream(n, p, max_degree, rng))
 
 
-#: Stub count from which the first pairing round of
-#: :func:`random_regular_graph` is classified with numpy.
-_BULK_PAIRING_MIN = 1024
-
-
 def _pair_round(
     stubs: list[int], n: int, edges: set[int], added: list[int]
 ) -> dict[int, int]:
@@ -236,28 +231,6 @@ def _pair_round(
     return pending
 
 
-def _bulk_pair_round(np, stubs: list[int], n: int):
-    """:func:`_pair_round` for the first round, classified with arrays.
-
-    A pair is rejected if it is a loop or repeats the key of an earlier
-    non-loop pair (``np.unique`` reports each key's first occurrence).
-    Returns the accepted keys in pairing order and ``pending``, rebuilt
-    from the rejected pairs in the scalar order.
-    """
-    pairs = np.array(stubs, dtype=np.int64).reshape(-1, 2)
-    us, vs = pairs[:, 0], pairs[:, 1]
-    keys = np.minimum(us, vs) * n + np.maximum(us, vs)
-    candidates = np.flatnonzero(us != vs)
-    _, first = np.unique(keys[candidates], return_index=True)
-    accepted = np.zeros(len(keys), dtype=bool)
-    accepted[candidates[first]] = True
-    pending: dict[int, int] = {}
-    for u, v in pairs[~accepted].tolist():
-        pending[u] = pending.get(u, 0) + 1
-        pending[v] = pending.get(v, 0) + 1
-    return keys[accepted], pending
-
-
 def random_regular_graph(n: int, d: int, rng: RandomSource, max_tries: int = 200) -> Graph:
     """A uniform-ish random ``d``-regular simple graph.
 
@@ -265,9 +238,8 @@ def random_regular_graph(n: int, d: int, rng: RandomSource, max_tries: int = 200
     stubs that would create loops or multi-edges are reshuffled instead of
     restarting the whole pairing, with a suitability check to detect dead
     ends.  Effective even for dense degrees.  The stubs are shuffled by
-    the ``random.Random`` of :func:`~repro.rand.as_random`; with numpy, the
-    first (largest) round is classified with arrays and the CSR is built
-    from the accepted edge keys.
+    the ``random.Random`` of :func:`~repro.rand.as_random`; the rounds
+    run over int edge keys and the CSR is built from the accepted keys.
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
@@ -280,8 +252,6 @@ def random_regular_graph(n: int, d: int, rng: RandomSource, max_tries: int = 200
     if d == 0:
         return Graph(n)
     rng = as_random(rng)
-    np = _kernels._np
-    bulk = np is not None and n * d >= _BULK_PAIRING_MIN
 
     def suitable(edges: set[int], pending: dict[int, int]) -> bool:
         """Can some two pending vertices still be joined by a new edge?"""
@@ -293,29 +263,18 @@ def random_regular_graph(n: int, d: int, rng: RandomSource, max_tries: int = 200
         return False
 
     def attempt():
-        if bulk:
-            stubs = np.repeat(np.arange(n, dtype=np.int64), d).tolist()
-        else:
-            stubs = [v for v in range(n) for _ in range(d)]
+        stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
+        edges: set[int] = set()
         added: list[int] = []
-        if bulk:
-            first, pending = _bulk_pair_round(np, stubs, n)
-            edges = set(first.tolist())
-        else:
-            first, edges = None, set()
-            pending = _pair_round(stubs, n, edges, added)
+        pending = _pair_round(stubs, n, edges, added)
         while pending:
             if not suitable(edges, pending):
                 return None
             stubs = [v for v, count in pending.items() for _ in range(count)]
             rng.shuffle(stubs)
             pending = _pair_round(stubs, n, edges, added)
-        if first is None:
-            us = array("q", [k // n for k in added])
-            return us, array("q", [k % n for k in added])
-        keys = np.concatenate([first, np.array(added, dtype=np.int64)])
-        return keys // n, keys % n
+        return array("q", [k // n for k in added]), array("q", [k % n for k in added])
 
     for _ in range(max_tries):
         endpoints = attempt()

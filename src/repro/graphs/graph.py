@@ -175,11 +175,7 @@ class Graph:
         self.n = n
         self._indptr = indptr
         self._indices = indices
-        np = _kernels._np
-        if np is not None and n >= _NUMPY_BUILD_MIN:
-            self._deg = _from_numpy(np.diff(np.frombuffer(indptr, dtype=np.int64)))
-        else:
-            self._deg = array("q", map(sub, indptr[1:], indptr[:-1]))
+        self._deg = array("q", map(sub, indptr[1:], indptr[:-1]))
         self._m = len(indices) // 2
         self._maxdeg: int | None = None
 

@@ -31,7 +31,6 @@ from repro.graphs import (
     power_law_degree_sequence,
     random_regular_graph,
 )
-from repro.graphs import generators
 from repro.graphs.graph import _NUMPY_BUILD_MIN
 from repro.rand import Stream, kernels
 
@@ -268,8 +267,9 @@ class _CountingRandom(random.Random):
         super().shuffle(x)
 
 
-#: Below the bulk-pairing gate (n·d < 1024) and above it, a dense case
-#: that needs several pending rounds, and the vertex-d1lc shape.
+#: Small cases below the numpy CSR-build gate (n·d/2 < 1024 edges) and
+#: above it, a dense case that needs several pending rounds, and the
+#: vertex-d1lc shape.
 REGULAR = [(20, 6), (10, 3), (64, 8), (40, 30), (300, 16), (1000, 5)]
 
 
@@ -293,9 +293,9 @@ def test_regular_bulk_matches_pure_and_reference(n, d, seed):
         assert shuffles > 3  # several pending rounds (or restarts)
 
 
-def test_regular_gate_is_crossed():
-    products = [n * d for n, d in REGULAR]
-    assert min(products) < generators._BULK_PAIRING_MIN <= max(products)
+def test_regular_build_gate_is_crossed():
+    edges = [n * d // 2 for n, d in REGULAR]
+    assert min(edges) < _NUMPY_BUILD_MIN <= max(edges)
 
 
 @pytest.mark.parametrize("n", [1, 5, 2000])
