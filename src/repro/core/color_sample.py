@@ -18,13 +18,15 @@ knowledge (i).  Expected cost is ``O(log²((Δ+1)/k))`` bits over
 Random-Color-Trial iteration, one D1LC sparsification) as one protocol:
 the sum of the instances' bits and the max of their rounds, with the
 saturated path as a numpy lockstep that sends one message per round.
+It takes every instance's used colors in one flat form (CSR offsets
+plus the concatenated colors), which the lockstep reads as arrays and
+the reference fan-out slices into one set per instance.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence, Set
-from itertools import chain
 
 from ..comm import telemetry as _telemetry
 from ..comm.bits import BitWriter, uint_cost
@@ -125,12 +127,17 @@ def color_sample_proto(
 def color_sample_batch_proto(
     ch: Channel,
     num_colors: int,
-    used_sets: Sequence[Set[int]],
+    offsets: Sequence[int],
+    used: Sequence[int],
     keys: Sequence[int],
 ):
     """One party's side of ``K`` parallel Color-Sample instances.
 
-    Instance ``i`` is ``color_sample_proto(ch, num_colors, used_sets[i],
+    The used colors come in one flat form, as CSR rows: instance ``i``'s
+    are ``used[offsets[i] : offsets[i + 1]]`` (repeats allowed), and
+    ``offsets`` has ``K + 1`` entries starting at 0.  Both are int
+    sequences: lists, ``array('q')`` or numpy vectors.  Instance ``i`` is
+    ``color_sample_proto(ch, num_colors, set(those colors),
     Stream(keys[i]))``: ``keys`` holds one public stream key per instance
     (a list of ints or a uint64 array, as
     :func:`~repro.rand.core.derive_keys` returns for a fan-out's labels).
@@ -152,7 +159,8 @@ def color_sample_batch_proto(
     declares the sum of the instances' widths, so bits, rounds, messages
     and the per-round log are the reference fan-out's.  Otherwise (no
     numpy, Lehmer or Feistel palettes) this is that reference fan-out:
-    ``ch.parallel`` over ``color_sample_proto``, one ``Stream`` per key.
+    ``ch.parallel`` over ``color_sample_proto``, one set sliced from the
+    flat form and one ``Stream`` per instance.
 
     A used color outside ``[1..m]`` raises ``ValueError`` before any
     round.  If some instance has ``|A| + |B| >= m`` (no free color is
@@ -164,10 +172,11 @@ def color_sample_batch_proto(
     m = num_colors
     if m < 1:
         raise ValueError(f"palette must be non-empty, got {m}")
-    k = len(used_sets)
-    if len(keys) != k:
+    k = len(keys)
+    if len(offsets) != k + 1:
         raise ValueError(
-            f"{k} used sets and {len(keys)} keys: one of each per instance"
+            f"{len(offsets)} offsets and {k} keys: the offsets need one "
+            "entry per instance plus one"
         )
     if not k:
         return {}
@@ -181,13 +190,15 @@ def color_sample_batch_proto(
         if tables is not None:
             _telemetry.color_sample_kernel_fanouts += 1
     if tables is None:
+        if np is not None:  # numpy vectors would slice into numpy scalars
+            offsets, used = np.asarray(offsets).tolist(), np.asarray(used).tolist()
         tasks = {
-            i: (color_sample_proto, m, used, Stream(int(key)))
-            for i, (used, key) in enumerate(zip(used_sets, keys))
+            i: (color_sample_proto, m, set(used[start:end]), Stream(int(key)))
+            for i, (key, start, end) in enumerate(zip(keys, offsets, offsets[1:]))
         }
         del keys  # the streams hold every key while the instances run
         return (yield from ch.parallel(tasks))
-    return (yield from _saturated_lockstep(ch, np, m, used_sets, tables))
+    return (yield from _saturated_lockstep(ch, np, m, offsets, used, tables))
 
 
 def _counts_codec(bounds):
@@ -206,7 +217,7 @@ def _counts_codec(bounds):
     return encode
 
 
-def _saturated_lockstep(ch: Channel, np, m: int, used_sets, tables: bytes):
+def _saturated_lockstep(ch: Channel, np, m: int, offsets, used, tables: bytes):
     """The saturated path of ``K`` Color-Samples as one array protocol.
 
     Per instance this is exactly :func:`color_sample_proto`'s saturated
@@ -214,20 +225,18 @@ def _saturated_lockstep(ch: Channel, np, m: int, used_sets, tables: bytes):
     positions, returning ``perm[lo] + 1``.  Every table is ``uint8``
     (``m <= 96``: positions, counts and prefix sums all fit).
     """
-    k = len(used_sets)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    colors = np.asarray(used, dtype=np.intp)
+    k = offsets.size - 1
     rows = np.arange(k)
     forward = np.frombuffer(tables, dtype=np.uint8).reshape(k, m)
-    sizes = np.fromiter(map(len, used_sets), dtype=np.intp, count=k)
-    colors = np.fromiter(
-        chain.from_iterable(used_sets), dtype=np.intp, count=int(sizes.sum())
-    )
     if colors.size and (colors.min() < 1 or colors.max() > m):
-        for used in used_sets:
-            _check_palette(used, m)
+        for start, end in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+            _check_palette(set(colors[start:end].tolist()), m)
     # Each instance's used colors as a row mask over its permuted positions.
     inverse = np.empty((k, m), dtype=np.uint8)
     inverse[rows[:, None], forward] = np.arange(m, dtype=np.uint8)
-    owner = np.repeat(rows, sizes)
+    owner = np.repeat(rows, np.diff(offsets))
     own = np.zeros((k, m), dtype=np.uint8)
     own[owner, inverse[owner, colors - 1]] = 1
     # prefix[i, p]: instance i's own positions below p.

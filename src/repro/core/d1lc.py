@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping, Sequence
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 from ..comm.bits import gamma_cost, uint_cost
 from ..comm.codecs import (
@@ -123,11 +123,15 @@ def d1lc_proto(
     # every (v, j) slot, vertex-major: instance i is slot i % ell of
     # active[i // ell], on the stream pub.derive("d1lc", v).derive(j).
     ell = sample_list_size(n_active)
-    complements = [palette - set(own_lists[v]) for v in active]
+    # Each slot's used colors are its vertex's complement, in the fan-out's
+    # flat form: the ell slots of a vertex repeat its complement.
+    complements = [sorted(palette.difference(own_lists[v])) for v in active]
+    sizes = chain.from_iterable(repeat(len(c), ell) for c in complements)
     draws = yield from color_sample_batch_proto(
         ch,
         m,
-        list(chain.from_iterable(repeat(c, ell) for c in complements)),
+        list(accumulate(sizes, initial=0)),
+        list(chain.from_iterable(c * ell for c in complements)),
         _slot_keys(pub, active, ell),
     )
     sampled = _sampled_lists(draws, active, ell)

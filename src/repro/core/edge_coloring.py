@@ -227,6 +227,13 @@ def run_zero_comm_edge_coloring(
 # ---------------------------------------------------------------------------
 
 
+#: Entry ``bits`` is the availability 7-tuple of a first-seven range whose
+#: used colors are the set bits of ``bits``.
+_FREE_OF_SEVEN = tuple(
+    tuple(not bits >> i & 1 for i in range(7)) for bits in range(128)
+)
+
+
 def _nested_bitmap_codec(payload) -> list[int]:
     """Strict codec for a tuple of per-vertex boolean masks."""
     return encode_flag_bitmap([flag for row in payload for flag in row])
@@ -331,12 +338,18 @@ def edge_coloring_proto(ch: Channel, role: str, own_graph: Graph, delta: int):
         used[v].append(c)
 
     # --- round 2: first-seven availability of the own palette ------------
-    first_seven = own[:7]
-    own_masks = tuple(
-        tuple(c not in used_v for c in first_seven) for used_v in map(set, used)
-    )
+    # own[:7] is a contiguous color range, so each vertex's used colors
+    # fold into one int whose 7 bits from own[0] up index the table of
+    # availability 7-tuples.
+    low = own[0]
+    own_masks = []
+    for used_v in used:
+        mask = 0
+        for c in used_v:
+            mask |= 1 << c
+        own_masks.append(_FREE_OF_SEVEN[mask >> low & 127])
     peer_masks = yield from ch.send(
-        bitmap_cost(7 * n), own_masks, codec=_nested_bitmap_codec
+        bitmap_cost(7 * n), tuple(own_masks), codec=_nested_bitmap_codec
     )
     peer_first_seven = peer[:7]
 

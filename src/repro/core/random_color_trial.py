@@ -8,6 +8,13 @@ instances, its bit cost the sum), then the parties exchange one confirmation
 bit per awake vertex reporting whether any of *their* neighbors tried the
 same color.  A vertex keeps its color iff both sides confirm.
 
+Each iteration works on arrays, not per-vertex sets: one
+:meth:`~repro.graphs.Graph.gather_rows` call concatenates the awake
+vertices' own-side rows, the trial's per-vertex color array (0 =
+uncolored) indexed by those rows gives the fan-out its used colors in
+flat form (:func:`~repro.core.probes.used_colors`), and the same rows
+give the confirmation bits (:func:`~repro.core.probes.confirmation_bits`).
+
 Guarantees (Lemma 4.1): expected ``O(n/log⁴ n)`` vertices stay uncolored
 after ``⌈1 + 4·log_{24/23} log n⌉`` iterations, expected ``O(n)`` bits, and
 ``O(log log n · log Δ)`` worst-case rounds.
@@ -20,16 +27,18 @@ is empty (a free optimization the paper's fixed iteration count dominates).
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 from ..comm.bits import bitmap_cost
 from ..comm.transport import Channel
 from ..rand import Stream, derive_keys
+from ..rand import kernels as _kernels
 from ..graphs.graph import Graph
 from .color_sample import color_sample_batch_proto
 # The reference stays importable from here: perfbench's tracer tests look
 # it up through this module.
 from .color_sample import color_sample_proto  # noqa: F401
-from .probes import confirmation_bits
+from .probes import confirmation_bits, used_colors
 
 __all__ = [
     "paper_iteration_count",
@@ -71,6 +80,10 @@ def random_color_trial_proto(
     n = own_graph.n
     iterations = paper_iteration_count(n) if max_iterations is None else max_iterations
     colors: dict[int, int] = {}
+    # The same coloring as one color per vertex (0 = uncolored): indexing
+    # it with the gathered rows gives each instance's used colors.
+    np = _kernels._np
+    coloring = [0] * n if np is None else np.zeros(n, dtype=np.int64)
     active = list(range(n))
 
     for iteration in range(iterations):
@@ -80,34 +93,32 @@ def random_color_trial_proto(
             break
         # Public per-vertex participation coins (no communication).
         flips = pub.coins(len(active), 0.5)
-        awake = [v for v, f in zip(active, flips) if f]
+        awake = list(compress(active, flips))
         if not awake:
             continue
 
-        # One Color-Sample fan-out over the awake vertices.
-        # Instance v's stream is pub.derive("rct", iteration).derive(v).
+        # The awake vertices' own-side rows, gathered once: they feed the
+        # Color-Sample fan-out its used colors and the confirmation its
+        # clashes.  Instance i's stream is
+        # pub.derive("rct", iteration).derive(awake[i]).
+        offsets, ids = own_graph.gather_rows(awake)
         iter_base = pub.derive("rct", iteration)
         picks = yield from color_sample_batch_proto(
             ch,
             num_colors,
-            [own_graph.neighbor_colors(v, colors) for v in awake],
+            *used_colors(offsets, ids, coloring),
             derive_keys(iter_base.key, awake),
         )
-        chosen = {awake[i]: color for i, color in picks.items()}
+        chosen = list(map(picks.__getitem__, range(len(awake))))
 
-        # One confirmation bit per awake vertex: "no conflict on my side" —
-        # a color-class mask sweep over the whole awake neighborhood.
-        awake_set = set(awake)
-        own_ok = confirmation_bits(own_graph, awake, chosen)
+        # One confirmation bit per awake vertex: "no conflict on my side".
+        own_ok = confirmation_bits(offsets, ids, awake, chosen)
         peer_ok = yield from ch.send(bitmap_cost(len(awake)), own_ok)
 
-        still_active = []
-        for idx, v in enumerate(awake):
-            if own_ok[idx] and peer_ok[idx]:
-                colors[v] = chosen[v]
-            else:
-                still_active.append(v)
-        awake_survivors = set(still_active)
-        active = [v for v in active if v not in awake_set or v in awake_survivors]
+        for v, color, mine, theirs in zip(awake, chosen, own_ok, peer_ok):
+            if mine and theirs:
+                colors[v] = color
+                coloring[v] = color
+        active = [v for v in active if v not in colors]
 
     return colors, active

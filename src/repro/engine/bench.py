@@ -20,7 +20,11 @@ import time
 from typing import Any, Callable
 
 from ..core.vertex_coloring import run_vertex_coloring
-from ..graphs import EdgePartition, power_law_degree_sequence
+from ..graphs import (
+    EdgePartition,
+    configuration_model_graph,
+    power_law_degree_sequence,
+)
 from ..rand import Stream, derive_keys
 from ..rand.perm import permutation_tables
 from .runner import build_partition
@@ -58,6 +62,14 @@ def _time(fn: Callable[[], Any], repeat: int) -> float:
     return best
 
 
+def _plain(value: Any) -> Any:
+    """``value`` with numpy vectors and ``array('q')`` buffers as lists."""
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    tolist = getattr(value, "tolist", None)
+    return value if tolist is None else tolist()
+
+
 def kernel_comparison(seed: int = 42, repeat: int = 5) -> list[dict[str, Any]]:
     """Rows of ``{op, pure_s, kernel_s, speedup}`` — pure Python vs numpy.
 
@@ -66,8 +78,9 @@ def kernel_comparison(seed: int = 42, repeat: int = 5) -> list[dict[str, Any]]:
     and once under :class:`repro.rand.kernels.disabled` — the same escape
     hatch ``REPRO_NO_NUMPY=1`` flips.  Both arms draw bit-for-bit identical
     values (the kernels' parity contract), so the ratio is pure backend
-    speed.  Returns ``[]`` when numpy is unavailable; the CLI's
-    ``--min-kernel-speedup`` floor guards these rows in CI.
+    speed; one untimed call per arm checks that, and a disagreement
+    raises ``RuntimeError``.  Returns ``[]`` when numpy is unavailable;
+    the CLI's ``--min-kernel-speedup`` floor guards these rows in CI.
     """
     from ..rand import kernels
 
@@ -112,10 +125,28 @@ def kernel_comparison(seed: int = 42, repeat: int = 5) -> list[dict[str, Any]]:
                 17,
             ),
         ),
+        (
+            # One Random-Color-Trial iteration's row gather: half the
+            # vertices of a social graph awake.
+            "kernel: gather rows social n=4096 awake=2048",
+            lambda: rows_graph.gather_rows(awake),
+        ),
     ]
+    rows_graph = configuration_model_graph(
+        power_law_degree_sequence(
+            4096, 2.3, 64, Stream.from_seed(seed, "bench-rows-degrees")
+        ),
+        Stream.from_seed(seed, "bench-rows-pairing"),
+    )
+    awake = list(range(0, 4096, 2))
 
     rows = []
     for name, fn in cases:
+        kernel_out = _plain(fn())
+        with kernels.disabled():
+            pure_out = _plain(fn())
+        if kernel_out != pure_out:
+            raise RuntimeError(f"{name}: the numpy and pure paths disagree")
         kernel_s = _time(fn, repeat)
         with kernels.disabled():
             pure_s = _time(fn, repeat)

@@ -247,9 +247,9 @@ def random_regular_graph(n: int, d: int, rng: RandomSource, max_tries: int = 200
         raise ValueError(f"degree must be non-negative, got {d}")
     if n * d % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
-    if d >= n:
+    if d >= n > 0:
         raise ValueError(f"degree {d} too large for {n} vertices")
-    if d == 0:
+    if n == 0 or d == 0:
         return Graph(n)
     rng = as_random(rng)
 
@@ -379,11 +379,11 @@ def power_law_degree_sequence(
         # random.choices: bisect over cumulative weights, index clamped).
         degrees = [1 + i for i in rng.weighted_indices(n, list(accumulate(weights)))]
     else:
-        rng = as_random(rng)
-        degrees = [
-            rng.choices(range(1, max_degree + 1), weights=weights)[0]
-            for _ in range(n)
-        ]
+        # One call draws the same values, and leaves the same state, as one
+        # call per vertex, without re-accumulating the weights each time.
+        degrees = as_random(rng).choices(
+            range(1, max_degree + 1), weights=weights, k=n
+        )
     if sum(degrees) % 2:
         degrees[degrees.index(min(degrees))] += 1
     return degrees

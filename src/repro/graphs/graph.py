@@ -13,6 +13,8 @@ bulk construction vectorizes the sort/dedup/offset pipeline; the
 pure-Python fallback builds the same arrays with a counting sort.  Both
 paths produce byte-identical buffers, and numpy scalars never escape —
 storage is ``array('q')``, so every query returns plain Python ints.
+The one exception is :meth:`Graph.gather_rows`, the Random-Color-Trial
+row gather, which hands numpy callers int64 vectors.
 
 The protocols build every graph in one constructor call and only remove
 edges afterwards (the Theorem 2/3 surgery on copies): ``remove_edge``
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import compress
 from operator import sub
 
@@ -359,6 +361,36 @@ class Graph:
     def neighbor_colors(self, v: int, coloring: Mapping[int, int]) -> set[int]:
         """The colors that ``coloring`` assigns to neighbors of ``v``."""
         return {coloring[u] for u in self._row(v) if u in coloring}
+
+    def gather_rows(self, vertices: Sequence[int]):
+        """The live rows of ``vertices``, concatenated: ``(offsets, ids)``.
+
+        Row ``i`` (the neighbors of ``vertices[i]``, increasing) is
+        ``ids[offsets[i] : offsets[i + 1]]``; ``offsets`` has one more
+        entry than ``vertices`` and starts at 0.  Removal slack is
+        skipped.  With numpy both are int64 vectors, built in one pass
+        of array indexing; the pure path returns ``array('q')`` buffers
+        holding the same values.
+        """
+        np = _kernels._np
+        if np is not None:
+            picked = np.asarray(vertices, dtype=np.int64)
+            lengths = np.frombuffer(self._deg, dtype=np.int64)[picked]
+            offsets = np.zeros(picked.size + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offsets[1:])
+            # Entry j of row i sits at indptr[v_i] + (j - offsets[i]).
+            shift = np.frombuffer(self._indptr, dtype=np.int64)[picked] - offsets[:-1]
+            positions = np.arange(offsets[-1], dtype=np.int64)
+            positions += np.repeat(shift, lengths)
+            return offsets, np.frombuffer(self._indices, dtype=np.int64)[positions]
+        indptr, indices, deg = self._indptr, self._indices, self._deg
+        offsets = _zeros(len(vertices) + 1)
+        ids = array("q")
+        for i, v in enumerate(vertices, 1):
+            start = indptr[v]
+            ids += indices[start : start + deg[v]]
+            offsets[i] = len(ids)
+        return offsets, ids
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Same vertex range, keeping only edges inside ``vertices``.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -68,9 +69,15 @@ def _reference(ch, m, used_sets, seed):
     )
 
 
+def _flat(used_sets):
+    """The fan-out's flat input: CSR offsets and the concatenated colors."""
+    offsets = [0, *accumulate(map(len, used_sets))]
+    return offsets, [c for used in used_sets for c in sorted(used)]
+
+
 def _batched(ch, m, used_sets, seed):
     keys = _keys(seed, len(used_sets))
-    return (yield from color_sample_batch_proto(ch, m, used_sets, keys))
+    return (yield from color_sample_batch_proto(ch, m, *_flat(used_sets), keys))
 
 
 def _run(proto, transport, m, alice, bob, seed):
@@ -136,7 +143,7 @@ def test_used_color_outside_the_palette_fails_before_any_round(numpy_on):
         next(color_sample_proto(Channel(), m, used_sets[5], _streams(0, k)[5]))
     # The first advance raises: no round's message is ever yielded.
     with nullcontext() if numpy_on else kernels.disabled():
-        gen = color_sample_batch_proto(Channel(), m, used_sets, _keys(0, k))
+        gen = color_sample_batch_proto(Channel(), m, *_flat(used_sets), _keys(0, k))
         with pytest.raises(ValueError) as batched:
             next(gen)
     assert str(batched.value) == str(reference.value)

@@ -319,6 +319,20 @@ def test_cli_bench_rand(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not kernels.available(), reason="numpy kernels unavailable")
+def test_kernel_comparison_times_the_row_gather_and_checks_both_paths(monkeypatch):
+    from repro.engine import bench
+
+    ops = [row["op"] for row in bench.kernel_comparison(repeat=1)]
+    assert "kernel: gather rows social n=4096 awake=2048" in ops
+    # A row whose numpy and pure outputs differ fails the whole comparison.
+    monkeypatch.setattr(
+        bench, "permutation_tables", lambda keys, m: bytes([kernels._np is None])
+    )
+    with pytest.raises(RuntimeError, match="paths disagree"):
+        bench.kernel_comparison(repeat=1)
+
+
+@pytest.mark.skipif(not kernels.available(), reason="numpy kernels unavailable")
 def test_cli_bench_kernel_floor_fails_on_impossible_bound(capsys):
     assert main(
         ["bench", "--rand", "--repeat", "1", "--min-kernel-speedup", "1e9"]

@@ -2,8 +2,8 @@
 
 Mutation (in-row removals, rebuilding additions) and the drivers'
 promise never to add an edge, the numpy/pure build-parity guarantee,
-and the row-scan confirmation sweep of ``repro.core.probes`` checked
-against its definition.
+and the confirmation bits of ``repro.core.probes``, read off
+``Graph.gather_rows``, checked against their definition.
 """
 
 from __future__ import annotations
@@ -148,14 +148,14 @@ def test_confirmation_bits_matches_its_definition():
     rng = random.Random(9)
     g = gnp_random_graph(40, 0.15, rng)
     awake = [v for v in range(40) if v % 3 != 0]
-    chosen = {v: color for v, color in zip(awake, [1, 2, 3] * 40)}
-    chosen[0] = chosen[1]  # a sleeping vertex's color must not count
-    awake_set = set(awake)
-    assert confirmation_bits(g, awake, chosen) == tuple(
-        all(chosen[u] != chosen[v] for u in g.neighbors(v) if u in awake_set)
+    picks = ([1, 2, 3] * 40)[: len(awake)]
+    pick = dict(zip(awake, picks))  # a sleeping vertex has no pick
+    bits = confirmation_bits(*g.gather_rows(awake), awake, picks)
+    assert bits == tuple(
+        all(pick[u] != pick[v] for u in g.neighbors(v) if u in pick)
         for v in awake
     )
-    assert False in confirmation_bits(g, awake, chosen)
+    assert False in bits
 
 
 def test_induced_subgraph_and_subgraph_edges_match_edge_filters():

@@ -16,6 +16,7 @@ from repro.graphs import (
     gnp_with_max_degree,
     grid_graph,
     path_graph,
+    power_law_degree_sequence,
     random_bipartite_regular,
     random_regular_graph,
     star_graph,
@@ -97,6 +98,45 @@ class TestRandomFamilies:
     def test_random_regular_zero_degree(self):
         g = random_regular_graph(6, 0, random.Random(0))
         assert g.m == 0
+
+    def test_random_regular_empty_graph_is_regular(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        for d in (0, 2):
+            g = random_regular_graph(0, d, rng)
+            assert g.n == 0 and g.m == 0
+        assert rng.getstate() == state  # nothing drawn
+
+    @pytest.mark.parametrize(
+        "n, d, message",
+        [
+            (-1, 0, "vertex count must be non-negative"),
+            (4, -1, "degree must be non-negative"),
+            (5, 3, "n\\*d must be even"),
+            (4, 4, "degree 4 too large for 4 vertices"),
+            (1, 2, "degree 2 too large for 1 vertices"),
+        ],
+    )
+    def test_random_regular_rejects_bad_parameters(self, n, d, message):
+        with pytest.raises(ValueError, match=message):
+            random_regular_graph(n, d, random.Random(0))
+
+    @pytest.mark.parametrize("n, max_degree", [(2, 1), (50, 7), (5000, 64)])
+    def test_power_law_degrees_equal_one_draw_per_vertex(self, n, max_degree):
+        """One ``choices(k=n)`` call is the historical per-vertex loop."""
+        exponent = 2.3
+        weights = [d ** (-exponent) for d in range(1, max_degree + 1)]
+        rng = random.Random(n)
+        want = [
+            rng.choices(range(1, max_degree + 1), weights=weights)[0]
+            for _ in range(n)
+        ]
+        if sum(want) % 2:
+            want[want.index(min(want))] += 1
+        got_rng = random.Random(n)
+        got = power_law_degree_sequence(n, exponent, max_degree, got_rng)
+        assert got == want
+        assert got_rng.getstate() == rng.getstate()
 
     def test_bipartite_regular(self):
         rng = random.Random(4)

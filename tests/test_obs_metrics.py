@@ -126,7 +126,7 @@ def _color_sample_fan_outs(ch):
     """20 instances at m=17, then 5 at m=7 (no batched tables below 13)."""
     for m, k in ((17, 20), (7, 5)):
         keys = derive_keys(Stream.from_seed(k).key, range(k))
-        yield from color_sample_batch_proto(ch, m, [set()] * k, keys)
+        yield from color_sample_batch_proto(ch, m, [0] * (k + 1), [], keys)
 
 
 def test_color_sample_telemetry_dead_when_no_observer_installed():
