@@ -19,9 +19,12 @@ chain through the center, then rotate a prefix of the fan.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
+from ..graphs.graph import Edge
 from .state import EdgeColoringState
 
-__all__ = ["FanProcedureError", "color_edge_with_fan"]
+__all__ = ["FanProcedureError", "color_edge_with_fan", "color_edges"]
 
 
 class FanProcedureError(RuntimeError):
@@ -62,6 +65,37 @@ def color_edge_with_fan(state: EdgeColoringState, center: int, leaf: int) -> Non
         )
 
     _rotate_and_color(state, center, fan[: w_index + 1], d)
+
+
+def color_edges(state: EdgeColoringState, pairs: Iterable[Edge]) -> None:
+    """Color the uncolored edges ``(u, v)`` of ``pairs``, one at a time, in order.
+
+    Each edge takes the lowest palette color free at both endpoints,
+    read off ``palette & ~(used[u] | used[v])`` and written straight into
+    the state's masks, ``_at`` maps and edge-color dict; the fan
+    procedure (with :meth:`EdgeColoringState.assign`'s checks) runs only
+    when no common color is free, with ``u`` as its center.  The common
+    color needs none of those checks: it is a palette bit free at both
+    ends by construction, and the caller lists each edge once, uncolored.
+    """
+    palette = state._palette
+    used, at, edge_color = state._used, state._at, state._edge_color
+    # Color of a single-bit mask: one dict probe beats bit_length() here.
+    color_of_bit = {1 << c: c for c in range(state.num_colors + 1)}
+    for pair in pairs:
+        u, v = pair
+        free = palette & ~(used[u] | used[v])
+        if free:
+            bit = free & -free
+            color = color_of_bit[bit]
+            used[u] |= bit
+            used[v] |= bit
+            at[u][color] = v
+            at[v][color] = u
+            edge_color[pair if u < v else (v, u)] = color
+        else:
+            # A module-global lookup, so a test can count the fan calls.
+            color_edge_with_fan(state, u, v)
 
 
 def _maximal_fan(state: EdgeColoringState, center: int, leaf: int) -> list[int]:

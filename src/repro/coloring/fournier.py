@@ -25,7 +25,7 @@ invalidate these degree-based guarantees.
 from __future__ import annotations
 
 from ..graphs.graph import Edge, Graph
-from .fan import color_edge_with_fan
+from .fan import color_edges
 from .state import EdgeColoringState
 
 __all__ = ["fournier_edge_coloring"]
@@ -56,23 +56,20 @@ def fournier_edge_coloring(graph: Graph, num_colors: int | None = None) -> dict[
         # it, so no independence requirement and a single phase suffices.
         heavy = set()
 
+    state = EdgeColoringState(graph.n, k)
+    if not heavy:
+        color_edges(state, graph.edges())
+        return state.colors()
     # Phase 1 edges first, then phase 2 edges as (center, leaf) pairs.
     phase_one: list[Edge] = []
     phase_two: list[Edge] = []
-    for u, v in graph.edge_list():
+    for u, v in graph.edges():
         if u in heavy:
             phase_two.append((u, v))
         elif v in heavy:
             phase_two.append((v, u))
         else:
             phase_one.append((u, v))
-
-    state = EdgeColoringState(graph.n, k)
-    common, assign = state.common_free_color, state.assign
-    for center, leaf in phase_one + phase_two:
-        color = common(center, leaf)
-        if color is not None:
-            assign(center, leaf, color)
-        else:
-            color_edge_with_fan(state, center, leaf)
+    color_edges(state, phase_one)
+    color_edges(state, phase_two)
     return state.colors()

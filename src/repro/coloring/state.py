@@ -13,6 +13,10 @@ Every vertex keeps two views of its colored edges, both maintained by
   ``palette & ~(used[u] | used[v])``.  Reading set bits lowest first
   gives the colors in the same increasing order a linear palette scan
   would, so the masks pick exactly the colors a scan picks.
+
+:func:`repro.coloring.fan.color_edges` writes ``_used``, ``_at`` and
+``_edge_color`` inline on its common-free-color path, so a change to
+these views must change it too.
 """
 
 from __future__ import annotations

@@ -10,15 +10,16 @@ protocols and benchmarks use.
 from __future__ import annotations
 
 from ..graphs.graph import Edge, Graph
-from .fan import color_edge_with_fan
+from .fan import color_edges
 from .state import EdgeColoringState
 
 __all__ = ["common_free_color", "vizing_edge_coloring"]
 
 
-#: A palette color free at both endpoints, if any (fast path before fans):
+#: A palette color free at both endpoints, if any:
 #: ``common_free_color(state, u, v)``, the lowest set bit of the two
-#: endpoints' free masks.
+#: endpoints' free masks (the test :func:`~repro.coloring.fan.color_edges`
+#: inlines before falling back to a fan).
 common_free_color = EdgeColoringState.common_free_color
 
 
@@ -34,11 +35,5 @@ def vizing_edge_coloring(graph: Graph, num_colors: int | None = None) -> dict[Ed
     if k < delta + 1:
         raise ValueError(f"Vizing needs at least Δ+1 = {delta + 1} colors, got {k}")
     state = EdgeColoringState(graph.n, k)
-    common, assign = state.common_free_color, state.assign
-    for u, v in graph.edge_list():
-        color = common(u, v)
-        if color is not None:
-            assign(u, v, color)
-        else:
-            color_edge_with_fan(state, u, v)
+    color_edges(state, graph.edges())
     return state.colors()

@@ -118,8 +118,12 @@ def defer_heavy_edges(graph: Graph, threshold: int) -> tuple[Graph, list[Edge]]:
     """
     remaining = graph.copy()
     deferred: list[Edge] = []
-    heavy = {v for v in remaining.vertices() if remaining.degree(v) >= threshold}
-    queue = [e for e in remaining.edge_list() if e[0] in heavy and e[1] in heavy]
+    rows = [v for v, d in enumerate(graph.degrees()) if d >= threshold]
+    heavy = set(rows)
+    # The heavy-heavy edges in canonical order, read off the heavy rows.
+    queue = [
+        (u, w) for u in rows for w in graph.iter_neighbors(u) if w > u and w in heavy
+    ]
     while queue:
         u, v = queue.pop()
         if u not in heavy or v not in heavy:
@@ -146,15 +150,21 @@ def peel_heavy_matching(graph: Graph, delta: int) -> tuple[Graph, list[Edge]]:
     remaining = graph.copy()
     peeled: list[Edge] = []
     # Degrees only drop, so an edge can qualify only before any removal at
-    # its endpoints; one pass in canonical order implements the sequential
-    # peel (each removal demotes both endpoints below Δ immediately).
+    # its endpoints, and only between two vertices of degree Δ at the
+    # start; one pass over those vertices' rows in canonical order
+    # implements the sequential peel (each removal demotes both endpoints
+    # below Δ immediately, which also ends the row's scan).
     degree = graph.degrees()
-    for u, v in graph.edges():
-        if degree[u] == delta and degree[v] == delta:
-            degree[u] -= 1
-            degree[v] -= 1
-            remaining.remove_edge(u, v)
-            peeled.append((u, v))
+    for u in [v for v, d in enumerate(degree) if d == delta]:
+        if degree[u] != delta:
+            continue
+        for v in graph.iter_neighbors(u):
+            if v > u and degree[v] == delta:
+                degree[u] -= 1
+                degree[v] -= 1
+                remaining.remove_edge(u, v)
+                peeled.append((u, v))
+                break
     return remaining, peeled
 
 

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-import repro.coloring.fournier as fournier_module
+import repro.coloring.fan as fan_module
 from repro.coloring import fournier_edge_coloring, vizing_edge_coloring
 from repro.core import run_edge_coloring, run_zero_comm_edge_coloring
 from repro.core.edge_coloring import peel_heavy_matching
@@ -110,19 +110,36 @@ def test_coloring_digest_is_pinned(key):
     assert coloring_digest(_coloring(key)) == DIGESTS[key]
 
 
-def test_pinned_fournier_case_runs_the_fan_procedure(monkeypatch):
-    """The Fournier goldens cover the fan path, not only common free colors."""
+def _fan_calls_and_digest(monkeypatch, key):
+    """The fan calls made while coloring ``key``, and the coloring's digest.
+
+    Fournier and Vizing reach the fan through the shared
+    :func:`~repro.coloring.fan.color_edges` loop, which looks it up as a
+    module global of :mod:`repro.coloring.fan`.
+    """
     calls = []
-    fan = fournier_module.color_edge_with_fan
+    fan = fan_module.color_edge_with_fan
 
     def counting(state, center, leaf):
         calls.append((center, leaf))
         fan(state, center, leaf)
 
-    monkeypatch.setattr(fournier_module, "color_edge_with_fan", counting)
-    colors = _coloring("fournier/regular")
+    monkeypatch.setattr(fan_module, "color_edge_with_fan", counting)
+    return calls, coloring_digest(_coloring(key))
+
+
+def test_pinned_fournier_case_runs_the_fan_procedure(monkeypatch):
+    """The Fournier goldens cover the fan path, not only common free colors."""
+    calls, digest = _fan_calls_and_digest(monkeypatch, "fournier/regular")
     assert calls
-    assert coloring_digest(colors) == DIGESTS["fournier/regular"]
+    assert digest == DIGESTS["fournier/regular"]
+
+
+def test_pinned_vizing_case_runs_the_fan_procedure(monkeypatch):
+    """The Vizing goldens cover the fan path, not only common free colors."""
+    calls, digest = _fan_calls_and_digest(monkeypatch, "vizing/regular")
+    assert calls
+    assert digest == DIGESTS["vizing/regular"]
 
 
 def _regenerate() -> dict[str, str]:  # pragma: no cover - maintenance helper
